@@ -414,8 +414,7 @@ func BenchmarkHilbert(b *testing.B) {
 
 // Sharded store benchmarks: the covering split + fan-out + partial merge
 // of internal/store against a raw single block, on shard-local and
-// cross-shard traffic (the pr3 experiment measures the same comparison
-// as throughput; these are the per-query latency views).
+// cross-shard traffic, as per-query latency.
 
 type storeBenchEnv struct {
 	ds    *store.Dataset
@@ -487,8 +486,8 @@ func BenchmarkStoreBatchQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkPlannerMaxError is the per-query latency view of the pr5
-// sweep: the routed store path answering the same polygon workload at
+// BenchmarkPlannerMaxError is the per-query latency view of the planner:
+// the routed store path answering the same polygon workload at
 // progressively looser error bounds. maxErr=0 is the exact baseline;
 // each coarser admitted level should shrink the latency with it.
 func BenchmarkPlannerMaxError(b *testing.B) {

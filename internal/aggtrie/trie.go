@@ -37,11 +37,6 @@ type Trie struct {
 	slotBytes int
 }
 
-// RootCell returns the cell the trie root corresponds to: the smallest
-// cell enclosing the block's data (paper Sec. 3.6: "the cell level that
-// can enclose our input data").
-func (t *Trie) RootCell() cellid.ID { return t.rootCell }
-
 // NumNodes returns the number of allocated trie nodes.
 func (t *Trie) NumNodes() int { return len(t.nodes) }
 

@@ -241,24 +241,6 @@ func ExactDilatedPolygonCount(t *column.Table, dom cellid.Domain, poly *geom.Pol
 	return n
 }
 
-// ExactDilatedPolygonColSum is ExactDilatedPolygonCount for the sum of
-// one value column: with margin 0 it is the exact in-polygon sum, the
-// lower reference of the planner's guarantee for non-negative columns.
-func ExactDilatedPolygonColSum(t *column.Table, dom cellid.Domain, poly *geom.Polygon, col int, margin float64) float64 {
-	bb := poly.Bound().Expanded(margin)
-	sum := 0.0
-	for i := 0; i < t.NumRows(); i++ {
-		p := dom.CellCenter(cellid.ID(t.Keys[i]))
-		if !bb.ContainsPoint(p) {
-			continue
-		}
-		if DistanceToPolygon(p, poly) <= margin {
-			sum += t.Cols[col][i]
-		}
-	}
-	return sum
-}
-
 // ExactRectCount is ExactPolygonCount for rectangles.
 func ExactRectCount(t *column.Table, dom cellid.Domain, r geom.Rect) uint64 {
 	var n uint64

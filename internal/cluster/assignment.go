@@ -168,7 +168,6 @@ func ParseCell(tok string) (cellid.ID, error) {
 // Assignment is a resolved shard→replica-chain mapping.
 type Assignment struct {
 	cfg    *Config
-	nodes  map[string]Node
 	static map[cellid.ID][]Node
 }
 
@@ -187,7 +186,7 @@ func NewAssignment(cfg *Config) *Assignment {
 		}
 		static[id] = rep
 	}
-	return &Assignment{cfg: cfg, nodes: nodes, static: static}
+	return &Assignment{cfg: cfg, static: static}
 }
 
 // Epoch returns the assignment's epoch.
@@ -206,12 +205,6 @@ func (a *Assignment) Replication() int {
 		r = len(a.cfg.Nodes)
 	}
 	return r
-}
-
-// NodeByName resolves a node name.
-func (a *Assignment) NodeByName(name string) (Node, bool) {
-	n, ok := a.nodes[name]
-	return n, ok
 }
 
 // Owners returns the shard's replica chain, primary first. Static

@@ -5,15 +5,14 @@
 // minimally is included, so the covering can only add false positives, and
 // every covering point lies within one cell diagonal of the polygon outline.
 //
-// The algorithm mirrors S2's RegionCoverer: a best-first refinement that
-// starts from the smallest ancestor cell enclosing the polygon's bounding
-// box, keeps cells fully contained in the polygon, and subdivides boundary
-// cells until the maximum level or the cell budget is reached.
+// The algorithm mirrors S2's RegionCoverer: a coarsest-first refinement
+// that starts from the smallest ancestor cell enclosing the polygon's
+// bounding box, keeps cells fully contained in the polygon, and subdivides
+// boundary cells until the maximum level or the cell budget is reached.
 package cover
 
 import (
 	"cmp"
-	"container/heap"
 	"fmt"
 	"slices"
 
@@ -129,33 +128,6 @@ type Covering struct {
 // Len returns the number of cells.
 func (c *Covering) Len() int { return len(c.Cells) }
 
-// candidate is a heap entry: a cell pending classification/refinement.
-type candidate struct {
-	id    cellid.ID
-	level int
-}
-
-// candidateHeap orders candidates coarsest-first so refinement spends the
-// cell budget where it matters most (big boundary cells first).
-type candidateHeap []candidate
-
-func (h candidateHeap) Len() int { return len(h) }
-func (h candidateHeap) Less(i, j int) bool {
-	if h[i].level != h[j].level {
-		return h[i].level < h[j].level
-	}
-	return h[i].id < h[j].id
-}
-func (h candidateHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *candidateHeap) Push(x any)   { *h = append(*h, x.(candidate)) }
-func (h *candidateHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
 // Coverer computes coverings over a fixed domain.
 type Coverer struct {
 	dom  cellid.Domain
@@ -211,36 +183,31 @@ func (c *Coverer) Cover(region Region) *Covering {
 		return c.finish(out)
 	}
 
-	var h candidateHeap
-	heap.Push(&h, candidate{start, start.Level()})
-	for h.Len() > 0 {
-		cand := heap.Pop(&h).(candidate)
-		rect := c.dom.CellRect(cand.id)
-		rel := classifyRect(region, rect)
-		if rel == geom.RectDisjoint {
-			continue
+	// Refinement is coarsest-first so the cell budget goes to the big
+	// boundary cells first. Children are one level finer than their parent
+	// and children of ascending disjoint parents ascend, so "coarsest
+	// first, then by id" is a level-order walk over two frontier slices.
+	frontier, next := []cellid.ID{start}, []cellid.ID(nil)
+	for level := start.Level(); len(frontier) > 0; level++ {
+		for i, id := range frontier {
+			rel := classifyRect(region, c.dom.CellRect(id))
+			if rel == geom.RectDisjoint {
+				continue
+			}
+			contained := rel == geom.RectContains
+			// Budget check: the four children plus whatever is pending or
+			// emitted must stay within MaxCells, otherwise emit as-is.
+			pending := len(frontier) - i - 1 + len(next)
+			if level >= c.opts.MinLevel && (contained || level >= c.opts.MaxLevel ||
+				len(out.Cells)+pending+4 > c.opts.MaxCells) {
+				out.Cells = append(out.Cells, id)
+				out.Interior = append(out.Interior, contained)
+				continue
+			}
+			children := id.Children()
+			next = append(next, children[:]...)
 		}
-		contained := rel == geom.RectContains
-		if contained && cand.level >= c.opts.MinLevel {
-			out.Cells = append(out.Cells, cand.id)
-			out.Interior = append(out.Interior, true)
-			continue
-		}
-		if cand.level >= c.opts.MaxLevel {
-			out.Cells = append(out.Cells, cand.id)
-			out.Interior = append(out.Interior, contained)
-			continue
-		}
-		// Budget check: the four children plus whatever is queued or
-		// emitted must stay within MaxCells, otherwise emit as-is.
-		if len(out.Cells)+h.Len()+4 > c.opts.MaxCells && cand.level >= c.opts.MinLevel {
-			out.Cells = append(out.Cells, cand.id)
-			out.Interior = append(out.Interior, contained)
-			continue
-		}
-		for _, child := range cand.id.Children() {
-			heap.Push(&h, candidate{child, cand.level + 1})
-		}
+		frontier, next = next, frontier[:0]
 	}
 	return c.finish(out)
 }
@@ -340,9 +307,6 @@ func (c *Coverer) FixedLevelCover(region Region, level int) []cellid.ID {
 	slices.SortFunc(out, func(a, b cellid.ID) int { return cmp.Compare(a, b) })
 	return out
 }
-
-// CoverPolygon is shorthand for Cover on a polygon.
-func (c *Coverer) CoverPolygon(p *geom.Polygon) *Covering { return c.Cover(p) }
 
 // CoverRect is shorthand for Cover on a rectangle.
 func (c *Coverer) CoverRect(r geom.Rect) *Covering { return c.Cover(RectRegion(r)) }

@@ -1,6 +1,9 @@
 package cover
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -248,4 +251,69 @@ func indexOf(cells []cellid.ID, id cellid.ID) int {
 		}
 	}
 	return -1
+}
+
+// coverDiffPolygons is the fixed input of TestCoverMatchesGolden: jittered
+// star polygons (concave, 12-24 vertices) from tract size to a third of
+// the domain, some hanging over its edge, so tight budgets truncate and
+// generous ones refine the whole outline.
+func coverDiffPolygons() []*geom.Polygon {
+	rng := rand.New(rand.NewSource(7))
+	polys := make([]*geom.Polygon, 100)
+	for i := range polys {
+		r := 0.3 * math.Pow(120, rng.Float64())
+		c := geom.Pt(rng.Float64()*100, rng.Float64()*100)
+		n := 12 + rng.Intn(13)
+		ring := make([]geom.Point, n)
+		for j := range ring {
+			a := 2 * math.Pi * float64(j) / float64(n)
+			rj := r * (0.55 + 0.45*rng.Float64())
+			ring[j] = geom.Pt(c.X+rj*math.Cos(a), c.Y+rj*math.Sin(a))
+		}
+		polys[i] = geom.NewPolygon(ring)
+	}
+	return polys
+}
+
+// TestCoverMatchesGolden pins Cover's output — cells, order, Interior
+// flags, truncation under tight budgets — to FNV-1a hashes taken from the
+// best-first heap implementation the level-order walk replaced. One hash
+// per MaxCells folds every MaxLevel x MinLevel x polygon covering.
+func TestCoverMatchesGolden(t *testing.T) {
+	dom := testDomain()
+	polys := coverDiffPolygons()
+	for _, golden := range []struct {
+		maxCells int
+		hash     uint64
+	}{
+		{4, 0xf134e9451a3e6bb9},
+		{8, 0x64fbcad9908b9122},
+		{24, 0x611fcfd6ce1678f6},
+		{100, 0x3309ae1b6d9670b7},
+		{500, 0xc1bfbaf1650eb242},
+		{2048, 0x8c3e485a69dff729},
+	} {
+		h := fnv.New64a()
+		var buf [9]byte
+		for _, maxLevel := range []int{6, 10, 14, 18} {
+			for _, minLevel := range []int{0, 3} {
+				c := MustCoverer(dom, Options{MaxLevel: maxLevel, MinLevel: minLevel, MaxCells: golden.maxCells})
+				for _, p := range polys {
+					cov := c.Cover(p)
+					for i, id := range cov.Cells {
+						binary.LittleEndian.PutUint64(buf[:], uint64(id))
+						buf[8] = 0
+						if cov.Interior[i] {
+							buf[8] = 1
+						}
+						h.Write(buf[:])
+					}
+					h.Write([]byte{0xff})
+				}
+			}
+		}
+		if got := h.Sum64(); got != golden.hash {
+			t.Errorf("MaxCells=%d: covering hash %#x, golden %#x", golden.maxCells, got, golden.hash)
+		}
+	}
 }

@@ -23,8 +23,6 @@ type env struct {
 	base  *core.BaseData
 	dom   cellid.Domain
 	polys []*geom.Polygon
-
-	extractStats core.ExtractStats
 }
 
 // newTaxiEnv generates the primary dataset and the neighborhood workload.
@@ -34,48 +32,45 @@ func newTaxiEnv(cfg Config, piggyPaperLevel int) *env {
 	if piggyPaperLevel > 0 {
 		piggy = DomainLevel(raw.Spec.Bound, piggyPaperLevel)
 	}
-	base, stats, err := raw.Extract(piggy)
+	base, _, err := raw.Extract(piggy)
 	if err != nil {
 		panic(err)
 	}
 	return &env{
-		raw:          raw,
-		base:         base,
-		dom:          raw.Domain(),
-		polys:        workload.Neighborhoods(raw.Spec.Bound, cfg.Seed+100),
-		extractStats: stats,
+		raw:   raw,
+		base:  base,
+		dom:   raw.Domain(),
+		polys: workload.Neighborhoods(raw.Spec.Bound, cfg.Seed+100),
 	}
 }
 
 // newTweetsEnv generates the tweets dataset with the states workload.
 func newTweetsEnv(cfg Config) *env {
 	raw := dataset.Generate(dataset.USTweets(), cfg.TweetRows, cfg.Seed+1)
-	base, stats, err := raw.Extract(-1)
+	base, _, err := raw.Extract(-1)
 	if err != nil {
 		panic(err)
 	}
 	return &env{
-		raw:          raw,
-		base:         base,
-		dom:          raw.Domain(),
-		polys:        workload.States(raw.Spec.Bound, cfg.Seed+101),
-		extractStats: stats,
+		raw:   raw,
+		base:  base,
+		dom:   raw.Domain(),
+		polys: workload.States(raw.Spec.Bound, cfg.Seed+101),
 	}
 }
 
 // newOSMEnv generates the OSM dataset with the countries workload.
 func newOSMEnv(cfg Config) *env {
 	raw := dataset.Generate(dataset.OSMAmericas(), cfg.OSMRows, cfg.Seed+2)
-	base, stats, err := raw.Extract(-1)
+	base, _, err := raw.Extract(-1)
 	if err != nil {
 		panic(err)
 	}
 	return &env{
-		raw:          raw,
-		base:         base,
-		dom:          raw.Domain(),
-		polys:        workload.Countries(raw.Spec.Bound, cfg.Seed+102),
-		extractStats: stats,
+		raw:   raw,
+		base:  base,
+		dom:   raw.Domain(),
+		polys: workload.Countries(raw.Spec.Bound, cfg.Seed+102),
 	}
 }
 

@@ -7,8 +7,12 @@
 // Absolute numbers differ from the paper (different hardware, scaled
 // datasets, planar decomposition), but the comparisons are set up so the
 // paper's qualitative results — who wins, by roughly what factor, where
-// crossovers happen — are reproduced. EXPERIMENTS.md records
-// paper-vs-measured for every experiment.
+// crossovers happen — are reproduced; `geobench -list` names the paper
+// figure each id stands for.
+//
+// These experiments measure the paper's data structure in process. The
+// serving tier is measured by the benchmark under bench/ (bench/README.md,
+// metric names in BENCHMARK.json), not here.
 package experiments
 
 import (
@@ -166,15 +170,6 @@ func All() []Runner {
 		{ID: "fig17", Desc: "Query runtime with increasing workload skew", Run: Fig17},
 		{ID: "fig18", Desc: "Impact of aggregate threshold on runtime and hit rate", Run: Fig18},
 		{ID: "fig19", Desc: "Payoff point of incremental builds", Run: Fig19},
-		{ID: "pr1", Desc: "Prefix-sum SELECT fast path vs scan ablation across levels", Run: PR1},
-		{ID: "pr2", Desc: "Concurrent throughput scaling and parallel covering aggregation", Run: PR2},
-		{ID: "pr3", Desc: "Sharded store routing vs single-block serving throughput", Run: PR3},
-		{ID: "pr4", Desc: "Durable snapshot save/restore vs rebuild-from-rows", Run: PR4},
-		{ID: "pr5", Desc: "Query planner error-bound sweep over the block pyramid", Run: PR5},
-		{ID: "pr6", Desc: "Hot-region result cache vs uncached serving under Zipfian skew", Run: PR6},
-		{ID: "pr7", Desc: "Mapped v3 snapshot serving vs eager v2 restore (startup, RSS, eviction)", Run: PR7},
-		{ID: "pr8", Desc: "Read latency under sustained streaming ingest + background compaction", Run: PR8},
-		{ID: "pr10", Desc: "Shared-grid join vs N sequential queries + serving-tier latency percentiles", Run: PR10},
 	}
 }
 

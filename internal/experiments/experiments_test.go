@@ -2,25 +2,12 @@ package experiments
 
 import (
 	"bytes"
-	"os"
 	"strconv"
 	"strings"
 	"testing"
 
 	"geoblocks/internal/geom"
 )
-
-// TestMain lets the pr7 experiment re-execute this test binary as a
-// serving child process (the helper-process pattern): PR7Perf spawns
-// os.Executable() with GEOBENCH_PR7_CHILD set, and the child must run
-// one serving scenario instead of the test suite.
-func TestMain(m *testing.M) {
-	if os.Getenv(pr7EnvMode) != "" {
-		PR7ChildMain()
-		return
-	}
-	os.Exit(m.Run())
-}
 
 // TestAllExperimentsRun executes every registered experiment at Quick
 // scale and sanity-checks the produced tables. This is the integration

@@ -98,15 +98,6 @@ func signedArea(ring []Point) float64 {
 	return sum / 2
 }
 
-// NumVertices returns the total vertex count across all rings.
-func (p *Polygon) NumVertices() int {
-	n := len(p.outer)
-	for _, h := range p.holes {
-		n += len(h)
-	}
-	return n
-}
-
 // Outer returns the outer ring (counter-clockwise, no closing vertex). The
 // returned slice is shared; callers must not modify it.
 func (p *Polygon) Outer() []Point { return p.outer }

@@ -833,24 +833,6 @@ func (d *Dataset) QueryBatchOpts(polys []*geom.Polygon, opts geoblocks.QueryOpti
 	return results, nil
 }
 
-// QueryBatchCoverings is QueryBatch over pre-computed coverings, executed
-// at full resolution with conservative per-covering bounds (see
-// QueryCovering).
-func (d *Dataset) QueryBatchCoverings(covs [][]cellid.ID, reqs ...geoblocks.AggRequest) ([]geoblocks.Result, error) {
-	d.queries.Add(uint64(len(covs)))
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	results, err := d.queryBatchCoverings(covs, d.opts.Level, geoblocks.QueryOptions{}, reqs)
-	if err != nil {
-		return nil, err
-	}
-	for i := range results {
-		results[i].Level = d.opts.Level
-		results[i].ErrorBound = d.coveringBound(covs[i])
-	}
-	return results, nil
-}
-
 func (d *Dataset) queryBatchCoverings(covs [][]cellid.ID, lvl int, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) ([]geoblocks.Result, error) {
 	results := make([]geoblocks.Result, len(covs))
 	errs := make([]error, len(covs))

@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"geoblocks"
 	"geoblocks/internal/core"
@@ -515,4 +516,34 @@ func TestStoreIngestLifecycle(t *testing.T) {
 		t.Fatalf("recovered count %d, want %d (base %d)", got.Count, want, base.Count)
 	}
 	st.Close()
+
+	// The attached compactor really folds: with an interval set the delta
+	// drains in the background, nobody calling Compact, and every
+	// acknowledged row is counted exactly once afterwards.
+	bg := New()
+	bg.EnableIngest(IngestConfig{CompactInterval: time.Millisecond})
+	d4 := buildDataset(t, "bg", 2000, 6, Options{Level: 10, ShardLevel: 1})
+	if err := bg.Add(d4); err != nil {
+		t.Fatal(err)
+	}
+	pts4, cols4 := genIngestRows(rand.New(rand.NewSource(11)), 200)
+	if _, err := d4.Ingest(pts4, cols4); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); d4.DeltaRows() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("background compactor never folded the delta")
+		}
+	}
+	if got := d4.IngestStatsNow(); got.Compactions == 0 || got.CompactedRows != 200 {
+		t.Fatalf("background fold not counted: %+v", got)
+	}
+	folded, err := d4.QueryRect(testBound, geoblocks.Count())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := built.Count + 200; folded.Count != want {
+		t.Fatalf("count after background fold %d, want %d", folded.Count, want)
+	}
+	bg.Close()
 }

@@ -8,7 +8,7 @@ import (
 	"geoblocks/internal/geom"
 )
 
-// benchJoinSetup builds a pr10-shaped workload with every polygon
+// benchJoinSetup builds a tract-join workload with every polygon
 // distinct: a sharded pyramid dataset and 500 small tract polygons,
 // planned below full resolution. All-distinct inputs keep the dedup
 // fast path out of the loop, so the benchmark isolates the shared-grid

@@ -241,15 +241,6 @@ func (h *Hotspot) NextIndex() int { return int(h.zipf.Uint64()) }
 // Next draws the next query polygon of the stream.
 func (h *Hotspot) Next() *geom.Polygon { return h.pool[h.NextIndex()] }
 
-// Draw returns the next n query polygons of the stream.
-func (h *Hotspot) Draw(n int) []*geom.Polygon {
-	out := make([]*geom.Polygon, n)
-	for i := range out {
-		out[i] = h.Next()
-	}
-	return out
-}
-
 // ZipfIndices draws count Zipf-distributed ranks in [0, n) with exponent
 // s — the bare index stream for callers with their own query pool (e.g.
 // skewed cell streams in cache tests). Deterministic per seed; s must
@@ -307,11 +298,6 @@ func SelectivityRect(tbl *column.Table, dom cellid.Domain, target float64) geom.
 		}
 	}
 	return geom.RectFromCenter(center, bound.Width()/2*hi, bound.Height()/2*hi)
-}
-
-// SelectivityPolygon is SelectivityRect converted to a polygon query.
-func SelectivityPolygon(tbl *column.Table, dom cellid.Domain, target float64) *geom.Polygon {
-	return SelectivityRect(tbl, dom, target).Polygon()
 }
 
 // spatialMedian approximates the coordinate-wise median of the table's

@@ -200,14 +200,20 @@ func TestPyramidBoundGuarantee(t *testing.T) {
 					// and bit-identical to the cold pass.
 					ds.RefreshCaches()
 				}
+				prevCells := -1
 				for _, me := range maxErrs {
 					opts := geoblocks.QueryOptions{MaxError: me}
 					var single []geoblocks.Result
+					cells := 0
 					for pi, poly := range polys {
 						res, err := ds.QueryOpts(poly, opts, reqs...)
 						if err != nil {
 							t.Fatalf("seed %d %s pass %d: QueryOpts: %v", seed, cfg.name, pass, err)
 						}
+						if want := ds.PlanLevel(me); res.Level != want {
+							t.Fatalf("seed %d %s max_error %g: planned level %d but answered at %d", seed, cfg.name, me, want, res.Level)
+						}
+						cells += res.CellsVisited
 						if me == 0 {
 							if res.Level != blockLevel {
 								t.Fatalf("exact query answered at level %d", res.Level)
@@ -234,6 +240,13 @@ func TestPyramidBoundGuarantee(t *testing.T) {
 					}
 					if pass == 0 {
 						cold[me] = single
+						// maxErrs ascend: a looser bound plans a coarser (or
+						// the same) level and must not cost more covering
+						// work over the workload.
+						if prevCells >= 0 && cells > prevCells {
+							t.Fatalf("seed %d %s: covering work grew as max_error relaxed to %g (%d -> %d cells)", seed, cfg.name, me, prevCells, cells)
+						}
+						prevCells = cells
 					}
 					batch, err := ds.QueryBatchOpts(polys, opts, reqs...)
 					if err != nil {
