@@ -33,12 +33,11 @@
 // enabled, its own query cache), and every query method resolves
 // through one plan→execute pipeline driven by QueryOptions: MaxError
 // picks the coarsest pyramid level whose cell diagonal satisfies the
-// bound, Workers selects the serial or parallel kernel, DisableCache
-// bypasses the cache. Results report the level answered at and the
-// guaranteed error bound of the covering actually executed
-// (Result.Level, Result.ErrorBound); MaxError 0 — and every legacy
-// method, which wraps the pipeline with zero options — is bit-identical
-// to the exact path. LevelFor and AtLevel expose the planner's level
+// bound, DisableCache bypasses the cache. Results report the level
+// answered at and the guaranteed error bound of the covering actually
+// executed (Result.Level, Result.ErrorBound); MaxError 0 — and every
+// legacy method, which wraps the pipeline with zero options — is
+// bit-identical to the exact path. LevelFor and AtLevel expose the planner's level
 // arithmetic to sharded routers.
 //
 // # Quick start

@@ -140,7 +140,7 @@ func resolveSpecs(schema Schema, reqs []AggRequest) ([]AggSpec, error) {
 // # Concurrency
 //
 // Any number of goroutines may call the query methods — Query, QueryRect,
-// QueryCovering, their *Parallel variants, Count, CountRect, and the read
+// QueryCovering, their *Opts forms, Count, CountRect, and the read
 // accessors — on one GeoBlock concurrently, with or without an enabled
 // cache. The cache path is lock-light: effectiveness counters are atomic,
 // query statistics are sharded, and the cache trie is published through an
@@ -233,10 +233,9 @@ func (g *GeoBlock) CoverRect(r Rect) []CellID {
 
 // QueryOptions are the unified knobs of the query planner. One options
 // struct replaces the combinatorial method matrix (Query/QueryRect/
-// QueryCovering × serial/parallel × cached/uncached): every query resolves
-// through one plan→execute pipeline, and the legacy signatures remain as
-// thin wrappers over it. The zero value reproduces the exact serial path
-// bit for bit.
+// QueryCovering × cached/uncached): every query resolves through one
+// plan→execute pipeline, and the legacy signatures remain as thin
+// wrappers over it. The zero value reproduces the exact path bit for bit.
 type QueryOptions struct {
 	// MaxError is the acceptable spatial error bound in domain units.
 	// 0 answers exactly, at the base block level. A positive value lets
@@ -247,12 +246,6 @@ type QueryOptions struct {
 	// the planner answers at the base level; Result.ErrorBound always
 	// reports the bound actually achieved. Must be finite and >= 0.
 	MaxError float64
-	// Workers selects the execution kernel: 0 or 1 runs the serial,
-	// cache-probing kernel; > 1 partitions large coverings across that
-	// many goroutines; < 0 uses GOMAXPROCS. The parallel kernel neither
-	// probes nor warms the query cache and falls back to the serial kernel
-	// for coverings too small to amortise the fan-out.
-	Workers int
 	// DisableCache answers directly from the aggregate arrays even when a
 	// query cache is enabled, leaving cache state and statistics
 	// untouched — for latency probes and cache-benefit measurements.
@@ -300,33 +293,39 @@ func (g *GeoBlock) planTarget(maxError float64) *GeoBlock {
 }
 
 // execCovering is the single execution kernel behind every public query
-// method. Running on the plan's target block, it resolves the aggregate
-// requests against the schema, dispatches onto the parallel, cached or
-// plain serial kernel per the options, and stamps the achieved level and
-// guaranteed error bound into the result.
+// method. Running on the plan's target block, it folds the covering with
+// selectPartial, finalises, and stamps the achieved level and guaranteed
+// error bound into the result.
 func (g *GeoBlock) execCovering(cov []CellID, bound float64, opts QueryOptions, reqs []AggRequest) (Result, error) {
-	specs, err := resolveSpecs(g.inner.Schema(), reqs)
+	acc, err := g.selectPartial(cov, opts, reqs)
 	if err != nil {
 		return Result{}, err
 	}
-	var res Result
-	switch {
-	case opts.Workers > 1 || opts.Workers < 0:
-		res, err = g.inner.SelectCoveringParallel(cov, specs, opts.Workers)
-	case g.cached != nil && !opts.DisableCache:
-		res, err = g.cached.Select(cov, specs)
-		if err == nil {
-			g.maybeAutoRefresh()
-		}
-	default:
-		res, err = g.inner.SelectCovering(cov, specs)
-	}
-	if err != nil {
-		return Result{}, err
-	}
+	res := acc.Result()
 	res.Level = g.Level()
 	res.ErrorBound = bound
 	return res, nil
+}
+
+// selectPartial resolves the aggregate requests against the schema and
+// folds the covering into a partial accumulator — through the adapted
+// cache algorithm (probes, statistics and auto-refresh included) when a
+// cache is enabled and opts does not disable it, else through the plain
+// range kernel. It is the one place a block chooses its SELECT kernel.
+func (g *GeoBlock) selectPartial(cov []CellID, opts QueryOptions, reqs []AggRequest) (*Accumulator, error) {
+	specs, err := resolveSpecs(g.inner.Schema(), reqs)
+	if err != nil {
+		return nil, err
+	}
+	if g.cached == nil || opts.DisableCache {
+		return g.inner.SelectCoveringPartial(cov, specs)
+	}
+	acc, err := g.cached.SelectPartial(cov, specs)
+	if err != nil {
+		return nil, err
+	}
+	g.maybeAutoRefresh()
+	return acc, nil
 }
 
 // QueryOpts answers a SELECT aggregate query over a polygon through the
@@ -377,7 +376,7 @@ func (g *GeoBlock) coveringBound(cov []CellID) float64 {
 // Query answers a SELECT aggregate query over an arbitrary polygon.
 // COUNT/SUM/AVG combine each covering cell in O(1) from stored offsets and
 // prefix sums; MIN/MAX scan the covered aggregates with fused per-column
-// kernels. Query is QueryOpts with zero options: exact, serial, cached.
+// kernels. Query is QueryOpts with zero options: exact and cached.
 func (g *GeoBlock) Query(poly *Polygon, reqs ...AggRequest) (Result, error) {
 	return g.QueryOpts(poly, QueryOptions{}, reqs...)
 }
@@ -390,38 +389,6 @@ func (g *GeoBlock) QueryRect(r Rect, reqs ...AggRequest) (Result, error) {
 // QueryCovering answers a SELECT query over a pre-computed covering.
 func (g *GeoBlock) QueryCovering(cov []CellID, reqs ...AggRequest) (Result, error) {
 	return g.QueryCoveringOpts(cov, QueryOptions{}, reqs...)
-}
-
-// normalizeWorkers maps the legacy parallel-method convention (<= 0 means
-// GOMAXPROCS) onto QueryOptions.Workers (< 0 means GOMAXPROCS).
-func normalizeWorkers(workers int) int {
-	if workers <= 0 {
-		return -1
-	}
-	return workers
-}
-
-// QueryParallel answers a SELECT query over a polygon, partitioning a
-// large covering across worker goroutines (workers <= 0 means
-// GOMAXPROCS). Small coverings fall back to the serial kernel, so the
-// method is safe to use unconditionally. COUNT/MIN/MAX results are
-// bit-identical to Query; SUM/AVG differ only by floating-point
-// reassociation at the merge points (DESIGN.md Sec. 6). The parallel path
-// neither probes nor warms the query cache — it targets the huge
-// analytical coverings where splitting the scan beats pre-combined
-// records.
-func (g *GeoBlock) QueryParallel(poly *Polygon, workers int, reqs ...AggRequest) (Result, error) {
-	return g.QueryOpts(poly, QueryOptions{Workers: normalizeWorkers(workers), DisableCache: true}, reqs...)
-}
-
-// QueryRectParallel is QueryParallel over a rectangle.
-func (g *GeoBlock) QueryRectParallel(r Rect, workers int, reqs ...AggRequest) (Result, error) {
-	return g.QueryRectOpts(r, QueryOptions{Workers: normalizeWorkers(workers), DisableCache: true}, reqs...)
-}
-
-// QueryCoveringParallel is QueryParallel over a pre-computed covering.
-func (g *GeoBlock) QueryCoveringParallel(cov []CellID, workers int, reqs ...AggRequest) (Result, error) {
-	return g.QueryCoveringOpts(cov, QueryOptions{Workers: normalizeWorkers(workers), DisableCache: true}, reqs...)
 }
 
 // QueryCoveringPartial answers a SELECT query over a pre-computed covering
@@ -439,30 +406,12 @@ func (g *GeoBlock) QueryCoveringPartial(cov []CellID, reqs ...AggRequest) (*Accu
 // QueryCoveringPartialOpts is QueryCoveringPartial with options. Like the
 // other covering-taking forms it never re-plans the level — the sharded
 // router resolves the pyramid level once per query (LevelFor, AtLevel) and
-// computes one covering at it. Workers selects the in-shard kernel (the
-// parallel kernel bypasses the cache, falls back to serial for small
-// sub-coverings, and composes with the router's per-shard fan-out);
-// DisableCache bypasses the cache on the serial path.
+// computes one covering at it. DisableCache bypasses the cache.
 func (g *GeoBlock) QueryCoveringPartialOpts(cov []CellID, opts QueryOptions, reqs ...AggRequest) (*Accumulator, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	specs, err := resolveSpecs(g.inner.Schema(), reqs)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Workers > 1 || opts.Workers < 0 {
-		return g.inner.SelectCoveringPartialParallel(cov, specs, opts.Workers)
-	}
-	if g.cached != nil && !opts.DisableCache {
-		acc, err := g.cached.SelectPartial(cov, specs)
-		if err != nil {
-			return nil, err
-		}
-		g.maybeAutoRefresh()
-		return acc, nil
-	}
-	return g.inner.SelectCoveringPartial(cov, specs)
+	return g.selectPartial(cov, opts, reqs)
 }
 
 // QueryCoveringMultiPartial answers one SELECT query per covering in a
@@ -502,8 +451,7 @@ type JoinInfo struct {
 // the aggregate arrays once, scattering into per-polygon accumulators.
 // Results align positionally with polys and each is bit-identical to
 // QueryOpts on that polygon alone with the cache disabled (the multi
-// kernel reads the aggregate arrays directly). opts.Workers is ignored —
-// the parallelism is across polygons, not within one.
+// kernel reads the aggregate arrays directly).
 func (g *GeoBlock) JoinOpts(polys []*Polygon, opts QueryOptions, reqs ...AggRequest) ([]Result, JoinInfo, error) {
 	target, err := g.plan(opts)
 	if err != nil {

@@ -319,47 +319,6 @@ func TestConcurrentQueriesWithAutoRefresh(t *testing.T) {
 	}
 }
 
-func TestQueryParallelMatchesQuery(t *testing.T) {
-	b := newTestBuilder(t, 30000, 14)
-	blk, err := b.Build(14, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	poly := testPoly(t)
-	reqs := []geoblocks.AggRequest{geoblocks.Count(), geoblocks.Sum("fare"), geoblocks.Min("fare"), geoblocks.Max("distance"), geoblocks.Avg("fare")}
-	want, err := blk.Query(poly, reqs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 2, 4} {
-		got, err := blk.QueryParallel(poly, workers, reqs...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Count != want.Count || got.Values[2] != want.Values[2] || got.Values[3] != want.Values[3] {
-			t.Fatalf("workers %d: count/min/max differ from serial", workers)
-		}
-		if math.Abs(got.Values[1]-want.Values[1]) > 1e-9*math.Abs(want.Values[1]) {
-			t.Fatalf("workers %d: sum %v too far from serial %v", workers, got.Values[1], want.Values[1])
-		}
-	}
-	r := geoblocks.Rect{Min: geoblocks.Pt(20, 20), Max: geoblocks.Pt(80, 80)}
-	serial, err := blk.QueryRect(r, geoblocks.Count())
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := blk.QueryRectParallel(r, 0, geoblocks.Count())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Count != parallel.Count {
-		t.Fatalf("rect parallel count %d != %d", parallel.Count, serial.Count)
-	}
-	if _, err := blk.QueryParallel(poly, 4, geoblocks.Sum("nope")); err == nil {
-		t.Fatal("unknown column accepted by parallel path")
-	}
-}
-
 func TestCoarsenPublic(t *testing.T) {
 	b := newTestBuilder(t, 10000, 7)
 	fine, err := b.Build(14, nil)

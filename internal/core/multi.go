@@ -19,7 +19,7 @@ type multiSpan struct {
 // its query index, the spans are sorted by range start, and one
 // monotone cursor walks the block's cell-aggregate array combining each
 // span into its query's accumulator by the same endpoint arithmetic as
-// the serial kernel. K overlapping coverings therefore cost one ordered
+// SelectCovering. K overlapping coverings therefore cost one ordered
 // traversal of the keys, not K.
 //
 // Each covering obeys the SelectCovering contract (ascending, disjoint,

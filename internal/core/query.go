@@ -271,11 +271,10 @@ func (b *GeoBlock) SelectCovering(cov []cellid.ID, specs []AggSpec) (Result, err
 	return acc.finish(visited), nil
 }
 
-// selectCoveringInto is the serial SELECT kernel: it folds one
-// (sub-)covering into acc and returns the number of cell aggregates
-// visited. SelectCovering runs it over the whole covering;
-// SelectCoveringParallel runs one instance per worker over contiguous
-// covering chunks and merges the accumulators.
+// selectCoveringInto is the SELECT range kernel: it folds one covering
+// into acc in a single ordered pass and returns the number of cell
+// aggregates visited. SelectCovering and SelectCoveringPartial both run
+// it.
 func (b *GeoBlock) selectCoveringInto(acc *accumulator, cov []cellid.ID) int {
 	visited := 0
 	cursor := 0

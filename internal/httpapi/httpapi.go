@@ -268,16 +268,16 @@ type queryRequest struct {
 	// planner answers at the coarsest pyramid level satisfying it (0 =
 	// exact). Applies to every form, batch included.
 	MaxError float64 `json:"max_error,omitempty"`
-	// Workers > 1 executes each query's covering with that many
-	// goroutines (bypassing the query cache); 0 is the serial default.
+	// Workers is accepted and range-checked for compatibility with older
+	// clients, and otherwise ignored: every query runs one kernel.
 	Workers int `json:"workers,omitempty"`
 	// NoCache answers directly from the aggregate arrays even when the
 	// dataset carries query caches.
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
-// maxQueryWorkers caps the per-request parallel fan-out a client may ask
-// for; anything larger is a request error, not a bigger goroutine pool.
+// maxQueryWorkers bounds the accepted workers value; anything outside
+// [0, maxQueryWorkers] stays a request error.
 const maxQueryWorkers = 256
 
 // options validates the planner knobs of a query request and converts
@@ -286,7 +286,7 @@ func (q queryRequest) options() (geoblocks.QueryOptions, error) {
 	if q.Workers < 0 || q.Workers > maxQueryWorkers {
 		return geoblocks.QueryOptions{}, fmt.Errorf("workers must be in [0, %d], got %d", maxQueryWorkers, q.Workers)
 	}
-	opts := geoblocks.QueryOptions{MaxError: q.MaxError, Workers: q.Workers, DisableCache: q.NoCache}
+	opts := geoblocks.QueryOptions{MaxError: q.MaxError, DisableCache: q.NoCache}
 	if err := opts.Validate(); err != nil {
 		return geoblocks.QueryOptions{}, fmt.Errorf("max_error must be finite and >= 0, got %v", q.MaxError)
 	}

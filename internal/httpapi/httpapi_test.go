@@ -242,6 +242,77 @@ func TestQueryErrors(t *testing.T) {
 	})
 }
 
+// TestQueryWorkersField pins the workers knob of /v1/query: it is outside
+// input, so it stays range-checked to [0, 256], and an accepted value
+// changes nothing — neither the answer nor result-cache eligibility.
+func TestQueryWorkersField(t *testing.T) {
+	_, h := newServer(testStore(t), Config{})
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+
+	create := `{"name":"rc","spec":"taxi","rows":5000,"level":11,"shard_level":1,"result_cache_bytes":1048576,"result_cache_min_hits":0}`
+	if resp, body := postJSON(t, ts, "/v1/datasets", create); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create status %d: %s", resp.StatusCode, body)
+	}
+
+	// query posts one rect query with the given extra fields and returns
+	// the status and the raw result object.
+	query := func(dataset, extra string) (int, string) {
+		t.Helper()
+		body := `{"dataset":"` + dataset + `","rect":[-74.05,40.60,-73.85,40.85]` + extra +
+			`,"aggs":[{"func":"count"},{"func":"sum","col":"fare_amount"},{"func":"min","col":"fare_amount"}]}`
+		resp, data := postJSON(t, ts, "/v1/query", body)
+		var qr struct {
+			Result json.RawMessage `json:"result"`
+		}
+		if err := json.Unmarshal(data, &qr); err != nil {
+			t.Fatalf("unmarshal: %v (%s)", err, data)
+		}
+		return resp.StatusCode, string(qr.Result)
+	}
+
+	status, want := query("taxi", "")
+	if status != http.StatusOK || want == "" {
+		t.Fatalf("baseline query status %d, result %q", status, want)
+	}
+	for _, tc := range []struct {
+		name   string
+		extra  string
+		status int
+	}{
+		{"negative", `,"workers":-1`, http.StatusBadRequest},
+		{"above cap", `,"workers":257`, http.StatusBadRequest},
+		{"zero", `,"workers":0`, http.StatusOK},
+		{"four", `,"workers":4`, http.StatusOK},
+		{"cap", `,"workers":256`, http.StatusOK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			status, got := query("taxi", tc.extra)
+			if status != tc.status {
+				t.Fatalf("status = %d, want %d", status, tc.status)
+			}
+			if status == http.StatusOK && got != want {
+				t.Fatalf("result %s differs from the same query without workers: %s", got, want)
+			}
+		})
+	}
+
+	// With a result cache, a repeated workers request is a miss then a hit.
+	for i := 0; i < 2; i++ {
+		if status, _ := query("rc", `,"workers":4`); status != http.StatusOK {
+			t.Fatalf("cached query %d status %d", i, status)
+		}
+	}
+	_, body := getJSON(t, ts, "/v1/stats?dataset=rc")
+	var st store.DatasetStats
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatalf("unmarshal stats: %v", err)
+	}
+	if rc := st.ResultCache; rc == nil || rc.Hits != 1 || rc.Misses != 1 {
+		t.Fatalf("workers request bypassed the result cache: %s", body)
+	}
+}
+
 func TestDatasetsEndpoint(t *testing.T) {
 	_, h := newServer(testStore(t), Config{})
 	ts := httptest.NewServer(h)

@@ -463,32 +463,33 @@ func (d *Dataset) QueryRect(r geom.Rect, reqs ...geoblocks.AggRequest) (geoblock
 // and the guaranteed error bound of the covering (paper Sec. 3.4); zero
 // options reproduce the exact path bit for bit.
 func (d *Dataset) QueryOpts(poly *geom.Polygon, opts geoblocks.QueryOptions, reqs ...geoblocks.AggRequest) (geoblocks.Result, error) {
-	if err := opts.Validate(); err != nil {
-		return geoblocks.Result{}, err
-	}
-	d.queries.Add(1)
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	lvl := d.PlanLevel(opts.MaxError)
-	if d.results != nil && resultCacheable(opts) {
-		key := resultcache.PolygonKey(poly, lvl, opts.MaxError, aggsTag(reqs))
-		return d.queryCached(key, lvl, opts, reqs, func(c *cover.Coverer) *cover.Covering {
-			return c.Cover(poly)
-		})
-	}
-	c := d.covererAt(lvl)
-	cov := c.Cover(poly)
-	res, err := d.queryCovering(cov.Cells, lvl, opts, reqs, true)
-	if err != nil {
-		return geoblocks.Result{}, err
-	}
-	res.Level = lvl
-	res.ErrorBound = c.GuaranteedErrorDistance(cov)
-	return res, nil
+	return d.queryRegion(opts, reqs,
+		func(lvl int, tag string) resultcache.Key {
+			return resultcache.PolygonKey(poly, lvl, opts.MaxError, tag)
+		},
+		func(c *cover.Coverer) *cover.Covering { return c.Cover(poly) })
 }
 
 // QueryRectOpts is QueryOpts over a rectangle.
 func (d *Dataset) QueryRectOpts(r geom.Rect, opts geoblocks.QueryOptions, reqs ...geoblocks.AggRequest) (geoblocks.Result, error) {
+	return d.queryRegion(opts, reqs,
+		func(lvl int, tag string) resultcache.Key {
+			return resultcache.RectKey(r, lvl, opts.MaxError, tag)
+		},
+		func(c *cover.Coverer) *cover.Covering { return c.CoverRect(r) })
+}
+
+// queryRegion is the single-region query path behind QueryOpts and
+// QueryRectOpts: plan the level once, then — with a result cache — look
+// the region's footprint (keyFn) up. A hit returns without touching the
+// router; a covered miss (the covering is memoized but the result is
+// missing or from an older generation) re-runs only the scatter-gather;
+// a cold miss, or no result cache, computes the covering with coverFn
+// first. Computed results are offered back to the cache. The cached
+// ErrorBound and Level are data-independent — both derive from the
+// covering alone — so replaying them after an invalidation is exact.
+func (d *Dataset) queryRegion(opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest,
+	keyFn func(lvl int, aggs string) resultcache.Key, coverFn func(*cover.Coverer) *cover.Covering) (geoblocks.Result, error) {
 	if err := opts.Validate(); err != nil {
 		return geoblocks.Result{}, err
 	}
@@ -496,31 +497,39 @@ func (d *Dataset) QueryRectOpts(r geom.Rect, opts geoblocks.QueryOptions, reqs .
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	lvl := d.PlanLevel(opts.MaxError)
-	if d.results != nil && resultCacheable(opts) {
-		key := resultcache.RectKey(r, lvl, opts.MaxError, aggsTag(reqs))
-		return d.queryCached(key, lvl, opts, reqs, func(c *cover.Coverer) *cover.Covering {
-			return c.CoverRect(r)
-		})
+
+	var (
+		key     resultcache.Key
+		gen     uint64
+		cells   []cellid.ID
+		bound   float64
+		outcome = resultcache.Miss
+	)
+	cacheable := d.results != nil && !opts.DisableCache
+	if cacheable {
+		key = keyFn(lvl, aggsTag(reqs))
+		gen = d.results.Generation()
+		var res geoblocks.Result
+		res, cells, bound, outcome = d.results.Lookup(key, gen)
+		if outcome == resultcache.Hit {
+			return res, nil
+		}
 	}
-	c := d.covererAt(lvl)
-	cov := c.CoverRect(r)
-	res, err := d.queryCovering(cov.Cells, lvl, opts, reqs, true)
+	if outcome != resultcache.MissCovered {
+		c := d.covererAt(lvl)
+		cov := coverFn(c)
+		cells, bound = cov.Cells, c.GuaranteedErrorDistance(cov)
+	}
+	res, err := d.queryCovering(cells, lvl, opts, reqs, true)
 	if err != nil {
 		return geoblocks.Result{}, err
 	}
 	res.Level = lvl
-	res.ErrorBound = c.GuaranteedErrorDistance(cov)
+	res.ErrorBound = bound
+	if cacheable {
+		d.results.Store(key, cells, bound, res, gen)
+	}
 	return res, nil
-}
-
-// resultCacheable reports whether the options select the deterministic
-// serial-kernel path whose answers the result cache may serve verbatim.
-// Workers > 1 (and < 0) run the parallel in-shard kernel, whose SUM may
-// reassociate differently from the serial one; DisableCache is the
-// caller's explicit measurement escape hatch and bypasses the result
-// cache alongside the per-shard caches.
-func resultCacheable(opts geoblocks.QueryOptions) bool {
-	return (opts.Workers == 0 || opts.Workers == 1) && !opts.DisableCache
 }
 
 // aggsTag is the canonical aggregate-spec component of a query footprint:
@@ -545,42 +554,6 @@ func aggsTag(reqs []geoblocks.AggRequest) string {
 		b = append(b, r.String()...)
 	}
 	return string(b)
-}
-
-// queryCached is the result-cache-fronted query path, called with the
-// dataset read lock held. On a hit the cached result is returned without
-// touching the router; on a covered miss (the region's covering is
-// memoized but the result is missing or from an older generation) only
-// the scatter-gather re-runs; on a cold miss the covering is computed
-// via coverFn and offered to the cache along with the result. The cached
-// ErrorBound and Level are data-independent — both derive from the
-// covering alone — so replaying them after an invalidation is exact.
-func (d *Dataset) queryCached(key resultcache.Key, lvl int, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest, coverFn func(*cover.Coverer) *cover.Covering) (geoblocks.Result, error) {
-	gen := d.results.Generation()
-	res, cells, bound, outcome := d.results.Lookup(key, gen)
-	switch outcome {
-	case resultcache.Hit:
-		return res, nil
-	case resultcache.MissCovered:
-		res, err := d.queryCovering(cells, lvl, opts, reqs, true)
-		if err != nil {
-			return geoblocks.Result{}, err
-		}
-		res.Level = lvl
-		res.ErrorBound = bound
-		d.results.Store(key, cells, bound, res, gen)
-		return res, nil
-	}
-	c := d.covererAt(lvl)
-	cov := coverFn(c)
-	res, err := d.queryCovering(cov.Cells, lvl, opts, reqs, true)
-	if err != nil {
-		return geoblocks.Result{}, err
-	}
-	res.Level = lvl
-	res.ErrorBound = c.GuaranteedErrorDistance(cov)
-	d.results.Store(key, cov.Cells, res.ErrorBound, res, gen)
-	return res, nil
 }
 
 // QueryCovering answers a SELECT query over a pre-computed covering
@@ -770,7 +743,7 @@ func (d *Dataset) QueryBatchOpts(polys []*geom.Polygon, opts geoblocks.QueryOpti
 	lvl := d.PlanLevel(opts.MaxError)
 	c := d.covererAt(lvl)
 
-	if d.results == nil || !resultCacheable(opts) {
+	if d.results == nil || opts.DisableCache {
 		covs := make([][]cellid.ID, len(polys))
 		bounds := make([]float64, len(polys))
 		for i, p := range polys {
@@ -792,7 +765,7 @@ func (d *Dataset) QueryBatchOpts(polys []*geom.Polygon, opts geoblocks.QueryOpti
 	// Result-cached batch: resolve every element against the cache first
 	// (hits and memoized coverings both count), then run only the misses
 	// through the batch executor. The batch and single-query paths share
-	// the serial in-shard kernel and the shard-order merge, so results
+	// the in-shard kernel and the shard-order merge, so results
 	// cached by one are bit-identical to recomputation by the other.
 	tag := aggsTag(reqs)
 	gen := d.results.Generation()
