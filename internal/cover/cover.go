@@ -9,6 +9,12 @@
 // that starts from the smallest ancestor cell enclosing the polygon's
 // bounding box, keeps cells fully contained in the polygon, and subdivides
 // boundary cells until the maximum level or the cell budget is reached.
+//
+// Like S2 over its shape index, the walk classifies a polygon cell against
+// the ring edges that touch it, not the whole ring: a cell is a boundary
+// cell iff one of its parent's edges meets it, those edges become its
+// children's list, and only a cell that no edge meets pays one
+// point-in-polygon test to tell interior from exterior (classifier, below).
 package cover
 
 import (
@@ -25,45 +31,102 @@ import (
 type Region interface {
 	// Bound returns the region's bounding rectangle.
 	Bound() geom.Rect
-	// IntersectsRect reports whether the region intersects r.
-	IntersectsRect(r geom.Rect) bool
-	// ContainsRect reports whether the region fully contains r.
-	ContainsRect(r geom.Rect) bool
-}
-
-// RectClassifier is an optional Region refinement: a single call that
-// returns the full disjoint/intersects/contains relation. Regions that
-// implement it (geom.Polygon does) pay one geometry pass per cell instead
-// of the IntersectsRect + ContainsRect pair; the result must be exactly
-// equivalent to the pair, which is what keeps coverings byte-identical
-// whichever path classified them.
-type RectClassifier interface {
+	// ClassifyRect returns the relation of the closed rectangle r to the
+	// region.
 	ClassifyRect(r geom.Rect) geom.RectRelation
 }
 
-// classifyRect classifies rect against region through the fused fast path
-// when available, falling back to the two-predicate protocol.
-func classifyRect(region Region, rect geom.Rect) geom.RectRelation {
-	if rc, ok := region.(RectClassifier); ok {
-		return rc.ClassifyRect(rect)
+// edge is one ring edge of a polygon region, a→b in ring order, with its
+// bounding box.
+type edge struct {
+	a, b geom.Point
+	bb   geom.Rect
+}
+
+// classifier classifies the cells of one region's covering walk. For a
+// polygon it applies geom.Polygon.ClassifyRect's two steps — some ring
+// edge meets the cell ? RectIntersects : the cell's Min corner decides
+// RectContains or RectDisjoint — to an edge list per cell. A cell's list
+// holds every edge that can meet it: a child's rectangle lies inside its
+// parent's, so the edges that met the parent are the child's list. Lists
+// are indices into edges, kept in backing arrays the walk owns. Any other
+// region classifies through its own ClassifyRect and leaves lists empty.
+type classifier struct {
+	region Region
+	poly   *geom.Polygon // nil for non-polygon regions
+	edges  []edge
+}
+
+func newClassifier(region Region) classifier {
+	k := classifier{region: region}
+	p, ok := region.(*geom.Polygon)
+	if !ok {
+		return k
 	}
-	if !region.IntersectsRect(rect) {
+	k.poly = p
+	n := len(p.Outer())
+	for _, h := range p.Holes() {
+		n += len(h)
+	}
+	k.edges = make([]edge, 0, n)
+	k.addRing(p.Outer())
+	for _, h := range p.Holes() {
+		k.addRing(h)
+	}
+	return k
+}
+
+// addRing appends ring's edges in the order geom's ring walks use, closing
+// edge first.
+func (k *classifier) addRing(ring []geom.Point) {
+	a := ring[len(ring)-1]
+	for _, b := range ring {
+		k.edges = append(k.edges, edge{a: a, b: b, bb: geom.RectFromPoints(a, b)})
+		a = b
+	}
+}
+
+// appendAll appends the list of every edge to buf: the list of a cell
+// whose parent was not classified.
+func (k *classifier) appendAll(buf []int32) []int32 {
+	for i := range k.edges {
+		buf = append(buf, int32(i))
+	}
+	return buf
+}
+
+// classify returns rect's relation to the region. It tests only the edges
+// in list, which must include every edge that meets rect, and appends the
+// ones that do meet it to *out: the list of rect's children.
+func (k *classifier) classify(rect geom.Rect, list []int32, out *[]int32) geom.RectRelation {
+	if k.poly == nil {
+		return k.region.ClassifyRect(rect)
+	}
+	n := len(*out)
+	for _, e := range list {
+		// The box test is exact and rejects most edges before the
+		// segment test's orientation arithmetic.
+		if ed := &k.edges[e]; ed.bb.Intersects(rect) && geom.SegmentIntersectsRect(ed.a, ed.b, rect) {
+			*out = append(*out, e)
+		}
+	}
+	switch {
+	case len(*out) > n:
+		return geom.RectIntersects
+	case k.poly.ContainsPoint(rect.Min):
+		return geom.RectContains
+	default:
 		return geom.RectDisjoint
 	}
-	if region.ContainsRect(rect) {
-		return geom.RectContains
-	}
-	return geom.RectIntersects
 }
 
 // rectRegion adapts geom.Rect to Region so rectangular queries (paper
 // Fig. 15) reuse the same covering machinery — "rectangles are just
-// constrained polygons".
+// constrained polygons". Its classification is O(1), so it carries no
+// edges.
 type rectRegion struct{ r geom.Rect }
 
-func (rr rectRegion) Bound() geom.Rect                { return rr.r }
-func (rr rectRegion) IntersectsRect(o geom.Rect) bool { return rr.r.Intersects(o) }
-func (rr rectRegion) ContainsRect(o geom.Rect) bool   { return rr.r.ContainsRect(o) }
+func (rr rectRegion) Bound() geom.Rect { return rr.r }
 func (rr rectRegion) ClassifyRect(o geom.Rect) geom.RectRelation {
 	if rr.r.ContainsRect(o) {
 		return geom.RectContains
@@ -175,11 +238,12 @@ func (c *Coverer) Cover(region Region) *Covering {
 		return out
 	}
 
+	k := newClassifier(region)
 	start := c.enclosingCell(bb)
 	if start.Level() < c.opts.MinLevel {
 		// Seed with all MinLevel descendants that intersect the region
 		// instead of one giant cell, so MinLevel is respected.
-		c.seedAtLevel(region, start, c.opts.MinLevel, out)
+		c.seedAtLevel(&k, start, c.opts.MinLevel, out)
 		return c.finish(out)
 	}
 
@@ -187,10 +251,19 @@ func (c *Coverer) Cover(region Region) *Covering {
 	// boundary cells first. Children are one level finer than their parent
 	// and children of ascending disjoint parents ascend, so "coarsest
 	// first, then by id" is a level-order walk over two frontier slices.
-	frontier, next := []cellid.ID{start}, []cellid.ID(nil)
+	// A frontier cell's edge list is lists[lo:hi]; the lists of the next
+	// level are filled into nextLists while this level is classified.
+	type cell struct {
+		id     cellid.ID
+		lo, hi int32
+	}
+	lists := k.appendAll(nil)
+	frontier, next := []cell{{start, 0, int32(len(lists))}}, []cell(nil)
+	var nextLists []int32
 	for level := start.Level(); len(frontier) > 0; level++ {
-		for i, id := range frontier {
-			rel := classifyRect(region, c.dom.CellRect(id))
+		for i, f := range frontier {
+			n := len(nextLists)
+			rel := k.classify(c.dom.CellRect(f.id), lists[f.lo:f.hi], &nextLists)
 			if rel == geom.RectDisjoint {
 				continue
 			}
@@ -200,14 +273,18 @@ func (c *Coverer) Cover(region Region) *Covering {
 			pending := len(frontier) - i - 1 + len(next)
 			if level >= c.opts.MinLevel && (contained || level >= c.opts.MaxLevel ||
 				len(out.Cells)+pending+4 > c.opts.MaxCells) {
-				out.Cells = append(out.Cells, id)
+				out.Cells = append(out.Cells, f.id)
 				out.Interior = append(out.Interior, contained)
+				nextLists = nextLists[:n]
 				continue
 			}
-			children := id.Children()
-			next = append(next, children[:]...)
+			lo, hi := int32(n), int32(len(nextLists))
+			for _, child := range f.id.Children() {
+				next = append(next, cell{child, lo, hi})
+			}
 		}
 		frontier, next = next, frontier[:0]
+		lists, nextLists = nextLists, lists[:0]
 	}
 	return c.finish(out)
 }
@@ -215,12 +292,14 @@ func (c *Coverer) Cover(region Region) *Covering {
 // seedAtLevel emits all descendants of start at the given level that
 // intersect the region. Used when the enclosing cell is coarser than
 // MinLevel.
-func (c *Coverer) seedAtLevel(region Region, start cellid.ID, level int, out *Covering) {
+func (c *Coverer) seedAtLevel(k *classifier, start cellid.ID, level int, out *Covering) {
+	all := k.appendAll(nil)
+	var hits []int32
 	begin := start.ChildBeginAt(level)
 	end := start.ChildEndAt(level)
 	for id := begin; ; id = id.Next() {
-		rect := c.dom.CellRect(id)
-		if rel := classifyRect(region, rect); rel != geom.RectDisjoint {
+		hits = hits[:0]
+		if rel := k.classify(c.dom.CellRect(id), all, &hits); rel != geom.RectDisjoint {
 			out.Cells = append(out.Cells, id)
 			out.Interior = append(out.Interior, rel == geom.RectContains)
 		}
@@ -262,52 +341,6 @@ func (c *Coverer) enclosingCell(bb geom.Rect) cellid.ID {
 	return lo.Parent(lvl)
 }
 
-// FixedLevelCover returns the covering of region consisting solely of
-// cells at the given level — the grid-cell representation in Fig. 6c. It is
-// equivalent to Cover with MinLevel = MaxLevel = level but uses a direct
-// recursive walk.
-func (c *Coverer) FixedLevelCover(region Region, level int) []cellid.ID {
-	var out []cellid.ID
-	var walk func(id cellid.ID)
-	walk = func(id cellid.ID) {
-		rect := c.dom.CellRect(id)
-		if id.Level() == level {
-			// Leaf: only the intersection test matters, skip the fused
-			// classification's containment work.
-			if region.IntersectsRect(rect) {
-				out = append(out, id)
-			}
-			return
-		}
-		rel := classifyRect(region, rect)
-		if rel == geom.RectDisjoint {
-			return
-		}
-		if rel == geom.RectContains {
-			// Whole subtree qualifies: enumerate children at target level.
-			begin := id.ChildBeginAt(level)
-			end := id.ChildEndAt(level)
-			for child := begin; ; child = child.Next() {
-				out = append(out, child)
-				if child == end {
-					break
-				}
-			}
-			return
-		}
-		for _, child := range id.Children() {
-			walk(child)
-		}
-	}
-	start := c.enclosingCell(region.Bound().Intersection(c.dom.Bound()))
-	if start.Level() > level {
-		start = start.Parent(level)
-	}
-	walk(start)
-	slices.SortFunc(out, func(a, b cellid.ID) int { return cmp.Compare(a, b) })
-	return out
-}
-
 // CoverRect is shorthand for Cover on a rectangle.
 func (c *Coverer) CoverRect(r geom.Rect) *Covering { return c.Cover(RectRegion(r)) }
 
@@ -317,10 +350,9 @@ func (c *Coverer) CoverRect(r geom.Rect) *Covering { return c.Cover(RectRegion(r
 // approximation error; every point of a boundary cell lies within that
 // cell's diagonal of the region, so the coarsest boundary diagonal bounds
 // the distance of any covered false positive from the region. It returns 0
-// for an empty or all-interior covering — such answers are exact.
-//
-// Unlike MaxErrorDistance below this is a sound per-query bound even when
-// the MaxCells budget truncated refinement and left coarse boundary cells.
+// for an empty or all-interior covering — such answers are exact. The
+// bound stays sound when the MaxCells budget truncated refinement and left
+// coarse boundary cells.
 func (c *Coverer) GuaranteedErrorDistance(cov *Covering) float64 {
 	coarsest := -1
 	for i, id := range cov.Cells {
@@ -335,40 +367,4 @@ func (c *Coverer) GuaranteedErrorDistance(cov *Covering) float64 {
 		return 0
 	}
 	return c.dom.CellDiagonal(coarsest)
-}
-
-// MaxErrorDistance returns the covering's worst-case distance bound: the
-// diagonal of a cell at the covering's finest level (paper Sec. 3.2). It
-// returns 0 for an empty covering.
-func (c *Coverer) MaxErrorDistance(cov *Covering) float64 {
-	finest := -1
-	for _, id := range cov.Cells {
-		if l := id.Level(); l > finest {
-			finest = l
-		}
-	}
-	if finest < 0 {
-		return 0
-	}
-	return c.dom.CellDiagonal(finest)
-}
-
-// AreaError returns the covering's area-based overshoot: covering area
-// minus region area, as a fraction of region area. Interior cells
-// contribute no error, so only boundary cells are measured.
-func (c *Coverer) AreaError(region Region, cov *Covering) float64 {
-	regionArea := 0.0
-	if p, ok := region.(*geom.Polygon); ok {
-		regionArea = p.Area()
-	} else {
-		regionArea = region.Bound().Area()
-	}
-	if regionArea <= 0 {
-		return 0
-	}
-	coverArea := 0.0
-	for _, id := range cov.Cells {
-		coverArea += c.dom.CellRect(id).Area()
-	}
-	return (coverArea - regionArea) / regionArea
 }

@@ -79,12 +79,14 @@ func (c *Coverer) sharedGridLevel(startLevel, nregions int, avgDim float64, maxL
 // non-fallback regions, is cell-for-cell identical to it: the walk is
 // confined to the region's own enclosing-cell subtree (exactly Cover's
 // search space, which matters because rectangles are closed and regions
-// may touch grid lines), refinement applies Cover's classification in
-// the same order, and interior sibling coalescing reconstructs the
-// maximal interior cells Cover emits directly. Regions whose covering
-// grows past MaxCells/4 fall back to Cover so budget truncation —
-// whose heap-order-dependent shape the shared walk does not reproduce —
-// can never be in play on the shared path.
+// may touch grid lines), every cell is classified as Cover classifies it
+// (the same classifier; a grid cell tests the full edge list where Cover
+// tests an inherited one, and both find the same edges), and interior
+// sibling coalescing reconstructs the maximal interior cells Cover emits
+// directly. Regions whose covering grows past MaxCells/4 fall back to
+// Cover so budget truncation — whose shape depends on Cover's
+// level-order walk, which the depth-first shared walk does not reproduce
+// — can never be in play on the shared path.
 func (c *Coverer) CoverShared(regions []Region) *SharedCovering {
 	sc := &SharedCovering{
 		Covers: make([]*Covering, len(regions)),
@@ -172,28 +174,37 @@ func (c *Coverer) CoverShared(regions []Region) *SharedCovering {
 // coverSharedOne runs one region through the shared grid, appending to
 // out. It returns false when the covering exceeded the fallback budget.
 func (c *Coverer) coverSharedOne(region Region, bb geom.Rect, sc *SharedCovering, gridSet map[cellid.ID]struct{}, budget int, out *Covering) bool {
-	// refine is Cover's refinement loop as a direct recursion (no heap,
-	// no candidate allocations), with the MinLevel=0 branches inlined:
-	// prune on intersection, emit on containment or at MaxLevel, else
-	// subdivide.
-	var refine func(id cellid.ID) bool
-	refine = func(id cellid.ID) bool {
-		rect := c.dom.CellRect(id)
-		rel := classifyRect(region, rect)
+	// lists is a stack of edge lists (see classifier). It starts as the
+	// list of every edge; classifying a cell pushes the edges that meet it
+	// — its children's list — and the cell pops them when it is done.
+	k := newClassifier(region)
+	lists := k.appendAll(nil)
+	all := len(lists)
+
+	// refine is Cover's refinement loop as a direct recursion, with the
+	// MinLevel=0 branches inlined: prune on intersection, emit on
+	// containment or at MaxLevel, else subdivide.
+	var refine func(id cellid.ID, lo, hi int) bool
+	refine = func(id cellid.ID, lo, hi int) bool {
+		n := len(lists)
+		rel := k.classify(c.dom.CellRect(id), lists[lo:hi], &lists)
 		if rel == geom.RectDisjoint {
 			return true
 		}
 		contained := rel == geom.RectContains
 		if contained || id.Level() >= c.opts.MaxLevel {
+			lists = lists[:n]
 			out.Cells = append(out.Cells, id)
 			out.Interior = append(out.Interior, contained)
 			return len(out.Cells) <= budget
 		}
+		m := len(lists)
 		for _, child := range id.Children() {
-			if !refine(child) {
+			if !refine(child, n, m) {
 				return false
 			}
 		}
+		lists = lists[:n]
 		return true
 	}
 
@@ -206,7 +217,7 @@ func (c *Coverer) coverSharedOne(region Region, bb geom.Rect, sc *SharedCovering
 		// grid-level ancestor and the pair refines as one unit.
 		gridSet[encl.Parent(sc.GridLevel)] = struct{}{}
 		sc.BoundaryPairs++
-		return refine(encl)
+		return refine(encl, 0, all)
 	}
 
 	// Scan the grid cells under the region's bounding box directly in
@@ -250,7 +261,7 @@ func (c *Coverer) coverSharedOne(region Region, bb geom.Rect, sc *SharedCovering
 			if !rect.Intersects(bb) {
 				continue
 			}
-			rel := classifyRect(region, rect)
+			rel := k.classify(rect, lists[:all], &lists)
 			if rel == geom.RectDisjoint {
 				continue
 			}
@@ -274,6 +285,7 @@ func (c *Coverer) coverSharedOne(region Region, bb geom.Rect, sc *SharedCovering
 			// children (or emits, at MaxLevel) instead of re-classifying.
 			sc.BoundaryPairs++
 			if sc.GridLevel >= c.opts.MaxLevel {
+				lists = lists[:all]
 				out.Cells = append(out.Cells, id)
 				out.Interior = append(out.Interior, false)
 				if len(out.Cells) > budget {
@@ -281,11 +293,13 @@ func (c *Coverer) coverSharedOne(region Region, bb geom.Rect, sc *SharedCovering
 				}
 				continue
 			}
+			m := len(lists)
 			for _, child := range id.Children() {
-				if !refine(child) {
+				if !refine(child, all, m) {
 					return false
 				}
 			}
+			lists = lists[:all]
 		}
 	}
 	return true

@@ -246,53 +246,22 @@ const (
 	RectContains
 )
 
-// ClassifyRect returns the full three-way relation of r to p in one pass.
-// It is exactly equivalent to the (IntersectsRect, ContainsRect) pair —
-// RectDisjoint iff !IntersectsRect, RectContains iff ContainsRect — but
-// shares the expensive per-corner ring tests and edge walks between the
-// two predicates instead of repeating them, which roughly halves the cost
-// of classifying the boundary cells that dominate covering time.
+// ClassifyRect returns the three-way relation of the closed rectangle r
+// to p, matching the (IntersectsRect, ContainsRect) pair: RectDisjoint iff
+// !IntersectsRect, RectContains iff ContainsRect.
+//
+// It needs two facts. If some ring edge (outer or hole) meets r, r
+// straddles or touches the boundary: RectIntersects, which is also what
+// ContainsRect's conservative edge test says. Otherwise the boundary
+// misses the connected set r, so r lies wholly inside or wholly outside
+// p and any one point decides; r.Min is tested. A hole inside r has its
+// edges inside r, so it is caught by the first step.
+//
+// The region coverer applies the same two steps with per-cell edge lists
+// (internal/cover), so the edges it tests per cell shrink down the tree.
 func (p *Polygon) ClassifyRect(r Rect) RectRelation {
 	if !p.bbox.Intersects(r) {
 		return RectDisjoint
-	}
-	// One corner inside and one outside settles the relation immediately:
-	// the rectangle straddles the boundary. This is the common case for
-	// the cells a coverer subdivides.
-	anyIn, anyOut := false, false
-	for _, c := range r.Vertices() {
-		if p.ContainsPoint(c) {
-			anyIn = true
-		} else {
-			anyOut = true
-		}
-		if anyIn && anyOut {
-			return RectIntersects
-		}
-	}
-	if anyIn {
-		// All four corners inside: contained unless a ring edge cuts
-		// through the rectangle or a hole hides inside it.
-		if p.bbox.ContainsRect(r) && !ringIntersectsRect(p.outer, r) {
-			ok := true
-			for _, h := range p.holes {
-				if ringIntersectsRect(h, r) || r.ContainsPoint(h[0]) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return RectContains
-			}
-		}
-		return RectIntersects
-	}
-	// All four corners outside: the rectangle still intersects if it
-	// swallows a polygon vertex or a ring edge crosses it.
-	for _, v := range p.outer {
-		if r.ContainsPoint(v) {
-			return RectIntersects
-		}
 	}
 	if ringIntersectsRect(p.outer, r) {
 		return RectIntersects
@@ -301,6 +270,9 @@ func (p *Polygon) ClassifyRect(r Rect) RectRelation {
 		if ringIntersectsRect(h, r) {
 			return RectIntersects
 		}
+	}
+	if p.ContainsPoint(r.Min) {
+		return RectContains
 	}
 	return RectDisjoint
 }
