@@ -126,8 +126,12 @@ func runBuild(args []string) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if _, err := blk.WriteTo(f); err != nil {
+	// The CRC-checked frame GeoBlock.WriteFramed writes and openBlock reads.
+	if _, err := blk.EncodeFramed(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s\n", *out)
@@ -218,8 +222,8 @@ func runQuery(args []string) error {
 	return nil
 }
 
-// runJoin answers one aggregate query per region in a single shared-grid
-// pass over the block — the CLI face of the join operator. Regions come
+// runJoin answers one aggregate query per region in a single pass over
+// the block — the CLI face of the join operator. Regions come
 // either as semicolon-separated polygon rings (-polys) or as an nx-by-ny
 // tile grid over a window rect. -compare also runs the same regions as
 // sequential queries and reports the speedup.
@@ -295,8 +299,8 @@ func runJoin(args []string) error {
 	if pairs > 0 {
 		interior = float64(info.InteriorPairs) / float64(pairs)
 	}
-	fmt.Printf("joined %d regions at level %d (grid level %d, %.0f%% interior pairs, %d fallbacks) in %v\n",
-		len(polys), info.Level, info.GridLevel, 100*interior, info.Fallbacks, joinTime.Round(time.Microsecond))
+	fmt.Printf("joined %d regions at level %d (%.0f%% interior pairs) in %v\n",
+		len(polys), info.Level, 100*interior, joinTime.Round(time.Microsecond))
 	for i, res := range results {
 		fmt.Printf("region %-4d count=%-8d", i, res.Count)
 		for k, name := range names {
@@ -373,7 +377,8 @@ func openBlock(path string) (*geoblocks.GeoBlock, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return geoblocks.ReadGeoBlock(f)
+	blk, _, err := geoblocks.ReadGeoBlockFramed(f)
+	return blk, err
 }
 
 func parsePolygon(s string) (*geoblocks.Polygon, error) {

@@ -71,11 +71,10 @@
 //
 // # Persistence
 //
-// A built block serialises without its base data or cache: WriteTo
-// streams the raw serialization-v2 payload, WriteFramed wraps it in a
-// length-prefixed, CRC32C-checksummed frame for storage, and
-// ReadGeoBlock / ReadGeoBlockFramed read them back (typed failures:
-// ErrCorruptBlock, ErrBlockVersion). The frame is the building block of
-// the snapshot subsystem (internal/snapshot) that makes the serving
-// tier durable; docs/FORMAT.md specifies every on-disk byte.
+// A built block serialises without its base data or cache: WriteFramed
+// writes the serialization-v2 payload in a length-prefixed,
+// CRC32C-checksummed frame, and ReadGeoBlockFramed reads it back (typed
+// failures: ErrCorruptBlock, ErrBlockVersion). The frame is the
+// building block of the snapshot subsystem (internal/snapshot) that makes
+// the serving tier durable; docs/FORMAT.md specifies every on-disk byte.
 package geoblocks

@@ -433,22 +433,20 @@ func (g *GeoBlock) QueryCoveringMultiPartial(covs [][]CellID, reqs ...AggRequest
 }
 
 // JoinInfo reports the plan shape of one JoinOpts call: the pyramid
-// level every region was answered at, the shared grid's level, and the
-// (region, grid cell) classification counts — interior pairs were
-// answered wholesale with zero point-in-polygon tests.
+// level every region was answered at and the (region, covering cell)
+// pair counts — interior pairs are cells wholly inside their region,
+// answered with no refinement; boundary pairs are the rest.
 type JoinInfo struct {
 	Level         int
-	GridLevel     int
 	InteriorPairs int
 	BoundaryPairs int
-	Fallbacks     int
 }
 
 // JoinOpts answers one aggregate query per polygon in a single pass over
 // the block: the planner resolves one pyramid level for the whole set,
-// the shared-grid coverer classifies every (polygon, grid cell) pair
-// interior/boundary in one sweep, and the multi-accumulator kernel walks
-// the aggregate arrays once, scattering into per-polygon accumulators.
+// each polygon is covered exactly as QueryOpts covers it, and the
+// multi-accumulator kernel walks the aggregate arrays once, scattering
+// into per-polygon accumulators.
 // Results align positionally with polys and each is bit-identical to
 // QueryOpts on that polygon alone with the cache disabled (the multi
 // kernel reads the aggregate arrays directly).
@@ -479,10 +477,8 @@ func (g *GeoBlock) JoinOpts(polys []*Polygon, opts QueryOptions, reqs ...AggRequ
 	}
 	info := JoinInfo{
 		Level:         target.Level(),
-		GridLevel:     sc.GridLevel,
 		InteriorPairs: sc.InteriorPairs,
 		BoundaryPairs: sc.BoundaryPairs,
-		Fallbacks:     sc.Fallbacks,
 	}
 	return results, info, nil
 }
@@ -690,7 +686,7 @@ func (g *GeoBlock) Coarsen(level int) (*GeoBlock, error) {
 //
 // levels <= 0 removes the pyramid. BuildPyramid is a structural mutation
 // under the block's concurrency contract: it must not run concurrently
-// with queries. Serialization is unaffected — WriteTo persists only the
+// with queries. Serialization is unaffected — WriteFramed persists only the
 // base level and readers rebuild the pyramid (the snapshot subsystem does
 // so on restore).
 func (g *GeoBlock) BuildPyramid(levels int) error {
@@ -838,46 +834,33 @@ func (g *GeoBlock) Fold(leaves []CellID, cols [][]float64) (*GeoBlock, error) {
 	return ng, nil
 }
 
-// WriteTo serialises the block (without base data or cache).
-func (g *GeoBlock) WriteTo(w io.Writer) (int64, error) { return g.inner.WriteTo(w) }
-
-// ReadGeoBlock deserialises a block written with WriteTo. The result
-// supports queries but not rebuilds (no base-data reference).
-func ReadGeoBlock(r io.Reader) (*GeoBlock, error) {
-	b, err := core.ReadBlock(r)
-	if err != nil {
-		return nil, err
-	}
-	return wrapBlock(b)
-}
-
 // FrameInfo describes a framed serialization: total frame size, payload
 // size and the payload's CRC32C — the facts a durable store records in
 // its manifest next to the payload file.
 type FrameInfo = core.FrameInfo
 
-// Typed deserialization failures, wrapped by every ReadGeoBlock /
-// ReadGeoBlockFramed error: ErrCorruptBlock for malformed or
-// checksum-failing bytes, ErrBlockVersion for a format version this
-// build does not read. The snapshot subsystem maps them onto its own
+// Typed deserialization failures, wrapped by every ReadGeoBlockFramed
+// error: ErrCorruptBlock for malformed or checksum-failing bytes,
+// ErrBlockVersion for a format version this build does not read. The snapshot subsystem maps them onto its own
 // artifact-level sentinels.
 var (
 	ErrCorruptBlock = core.ErrCorrupt
 	ErrBlockVersion = core.ErrVersion
 )
 
-// WriteFramed serialises the block as a self-delimiting frame: the
-// WriteTo payload wrapped in a length prefix and a CRC32C trailer
-// (docs/FORMAT.md specifies the bytes). This is the on-disk form used by
-// snapshot artifacts; prefer it over WriteTo whenever the bytes touch
-// storage or a network.
+// WriteFramed serialises the block (without base data or cache) as a
+// self-delimiting frame: the serialization-v2 payload wrapped in a
+// length prefix and a CRC32C trailer (docs/FORMAT.md specifies the
+// bytes). This is the on-disk form of snapshot artifacts and of
+// cmd/geoblocks block files.
 func (g *GeoBlock) WriteFramed(w io.Writer) (FrameInfo, error) {
 	return g.inner.EncodeFramed(w)
 }
 
 // ReadGeoBlockFramed deserialises a block written with WriteFramed,
 // validating frame magic, format version and checksum before decoding.
-// Failures wrap ErrCorruptBlock or ErrBlockVersion.
+// Failures wrap ErrCorruptBlock or ErrBlockVersion. The result supports
+// queries but not rebuilds (no base-data reference).
 func ReadGeoBlockFramed(r io.Reader) (*GeoBlock, FrameInfo, error) {
 	b, info, err := core.DecodeFramed(r)
 	if err != nil {

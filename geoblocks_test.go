@@ -354,10 +354,10 @@ func TestSerializationPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := blk.WriteTo(&buf); err != nil {
+	if _, err := blk.WriteFramed(&buf); err != nil {
 		t.Fatal(err)
 	}
-	rb, err := geoblocks.ReadGeoBlock(&buf)
+	rb, _, err := geoblocks.ReadGeoBlockFramed(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

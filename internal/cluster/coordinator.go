@@ -216,9 +216,9 @@ func (c *Coordinator) QueryBatch(ctx context.Context, name string, polys []*geom
 	return results, nil
 }
 
-// Join answers a polygon join cluster-wide: the shared-grid plan is
-// computed once on the coordinator's copy of the dataset (one level, one
-// classification pass — PlanJoin), then each polygon's planned covering
+// Join answers a polygon join cluster-wide: the plan is computed once on
+// the coordinator's copy of the dataset (one level, one covering per
+// polygon — PlanJoin), then each polygon's planned covering
 // scatters through the same per-shard partial machinery as a single
 // query, concurrently across polygons. Because each polygon's partials
 // merge in ascending shard order, per-polygon answers are bit-identical

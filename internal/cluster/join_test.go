@@ -16,7 +16,7 @@ import (
 )
 
 // TestClusterJoinEquivalence is the join's cluster equivalence battery:
-// the coordinator computes one shared-grid plan and splits each
+// the coordinator computes one join plan and splits each
 // polygon's planned covering across the peers; every per-polygon answer
 // must be bit-identical to the single-node Join (and therefore to N
 // sequential queries) — COUNT/MIN/MAX values, achieved level and error
@@ -68,12 +68,10 @@ func TestClusterJoinEquivalence(t *testing.T) {
 					assertSame(t, gots[i], wants[i], fmt.Sprintf("join poly %d maxErr=%g", i, maxErr))
 				}
 				// The coordinator plans on an identical build, so the
-				// shared-grid classification must agree with single-node.
+				// covering pair counts must agree with single-node.
 				if stats.Polygons != wantStats.Polygons ||
-					stats.GridLevel != wantStats.GridLevel ||
 					stats.InteriorPairs != wantStats.InteriorPairs ||
-					stats.BoundaryPairs != wantStats.BoundaryPairs ||
-					stats.Fallbacks != wantStats.Fallbacks {
+					stats.BoundaryPairs != wantStats.BoundaryPairs {
 					t.Fatalf("cluster join stats %+v, single-node %+v", stats, wantStats)
 				}
 			}

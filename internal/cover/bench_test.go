@@ -37,7 +37,7 @@ func BenchmarkCoverExplore(b *testing.B) {
 	}
 }
 
-// BenchmarkCoverSharedJoin is one join's shared-grid covering: 32
+// BenchmarkCoverSharedJoin is one join's covering step: 32
 // explore-shaped regions at level 10.
 func BenchmarkCoverSharedJoin(b *testing.B) {
 	c := MustCoverer(testDomain(), DefaultOptions(10))

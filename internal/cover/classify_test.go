@@ -277,7 +277,7 @@ func TestClassifyMatchesOracle(t *testing.T) {
 // TestClassifyNudgedVertices: with vertices one ulp off grid lines, the
 // float predicates can disagree. Inherited edge lists must still give the
 // covering a whole-ring classification gives (in Cover and in
-// CoverShared's full-list grid scan), and wherever the two-step rule and
+// CoverShared), and wherever the two-step rule and
 // the old body disagree, exact arithmetic must side with the two-step
 // rule.
 func TestClassifyNudgedVertices(t *testing.T) {

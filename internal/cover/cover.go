@@ -344,6 +344,43 @@ func (c *Coverer) enclosingCell(bb geom.Rect) cellid.ID {
 // CoverRect is shorthand for Cover on a rectangle.
 func (c *Coverer) CoverRect(r geom.Rect) *Covering { return c.Cover(RectRegion(r)) }
 
+// SharedCovering is the covering step of a join: one covering per region,
+// its guaranteed error bound, and the interior/boundary cell counts the
+// join operator reports as metrics.
+type SharedCovering struct {
+	// Covers holds one covering per input region, positionally aligned.
+	Covers []*Covering
+	// Bounds holds each covering's guaranteed error distance.
+	Bounds []float64
+	// InteriorPairs counts (region, covering cell) pairs whose cell lies
+	// wholly inside its region: answered with no refinement.
+	InteriorPairs int
+	// BoundaryPairs counts the other (region, covering cell) pairs.
+	BoundaryPairs int
+}
+
+// CoverShared covers every region with Cover, so each covering is exactly
+// the one a single-region query gets.
+func (c *Coverer) CoverShared(regions []Region) *SharedCovering {
+	sc := &SharedCovering{
+		Covers: make([]*Covering, len(regions)),
+		Bounds: make([]float64, len(regions)),
+	}
+	for i, rg := range regions {
+		cov := c.Cover(rg)
+		sc.Covers[i] = cov
+		sc.Bounds[i] = c.GuaranteedErrorDistance(cov)
+		for _, in := range cov.Interior {
+			if in {
+				sc.InteriorPairs++
+			} else {
+				sc.BoundaryPairs++
+			}
+		}
+	}
+	return sc
+}
+
 // GuaranteedErrorDistance returns the covering's guaranteed spatial error
 // bound: the diagonal of the coarsest boundary (non-interior) cell.
 // Interior cells are fully contained in the region and contribute no

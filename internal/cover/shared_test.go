@@ -37,9 +37,10 @@ func assertSameCovering(t *testing.T, label string, got, want *Covering) {
 }
 
 // TestCoverSharedMatchesCover is the core identity property the join
-// rests on: for every region, the shared-grid covering is cell-for-cell
+// rests on: for every region, the join's covering is cell-for-cell
 // (and flag-for-flag) identical to the single-region Cover, across
-// region counts, shapes, sizes and block levels.
+// region counts, shapes, sizes and block levels, and the pair counters
+// count exactly the returned cells.
 func TestCoverSharedMatchesCover(t *testing.T) {
 	dom := testDomain()
 	rng := rand.New(rand.NewSource(7))
@@ -63,6 +64,7 @@ func TestCoverSharedMatchesCover(t *testing.T) {
 			if len(sc.Covers) != n || len(sc.Bounds) != n {
 				t.Fatalf("level %d n=%d: %d covers, %d bounds", maxLevel, n, len(sc.Covers), len(sc.Bounds))
 			}
+			interior, boundary := 0, 0
 			for i, rg := range regions {
 				want := c.Cover(rg)
 				assertSameCovering(t, "region", sc.Covers[i], want)
@@ -70,6 +72,17 @@ func TestCoverSharedMatchesCover(t *testing.T) {
 					t.Fatalf("level %d region %d: bound %v, Cover bound %v",
 						maxLevel, i, sc.Bounds[i], c.GuaranteedErrorDistance(want))
 				}
+				for _, in := range sc.Covers[i].Interior {
+					if in {
+						interior++
+					} else {
+						boundary++
+					}
+				}
+			}
+			if sc.InteriorPairs != interior || sc.BoundaryPairs != boundary {
+				t.Fatalf("level %d n=%d: pairs %d interior / %d boundary, coverings have %d / %d",
+					maxLevel, n, sc.InteriorPairs, sc.BoundaryPairs, interior, boundary)
 			}
 		}
 	}
@@ -95,24 +108,17 @@ func TestCoverSharedTessellation(t *testing.T) {
 		}
 	}
 	sc := c.CoverShared(regions)
-	if sc.Fallbacks != 0 {
-		t.Fatalf("tessellation fell back %d times", sc.Fallbacks)
-	}
 	if sc.InteriorPairs == 0 {
-		t.Fatal("tessellation produced no interior pairs — grid level too coarse")
-	}
-	if len(sc.GridCells) == 0 {
-		t.Fatal("no grid cells recorded")
+		t.Fatal("tessellation produced no interior pairs")
 	}
 	for i, rg := range regions {
 		assertSameCovering(t, "tile", sc.Covers[i], c.Cover(rg))
 	}
 }
 
-// TestCoverSharedTinyBudget drives the MaxCells fallback: with a small
-// budget the shared walk must hand oversized regions to Cover (whose
-// truncation shape it does not reproduce) and still return exactly
-// Cover's output for every region.
+// TestCoverSharedTinyBudget: under a small MaxCells budget, where Cover
+// truncates refinement, the join still gets exactly Cover's output for
+// every region.
 func TestCoverSharedTinyBudget(t *testing.T) {
 	dom := testDomain()
 	rng := rand.New(rand.NewSource(11))
@@ -123,9 +129,6 @@ func TestCoverSharedTinyBudget(t *testing.T) {
 		regions[i] = randStar(rng, center, 5, 25, 7)
 	}
 	sc := c.CoverShared(regions)
-	if sc.Fallbacks == 0 {
-		t.Fatal("expected fallbacks under a 32-cell budget")
-	}
 	for i, rg := range regions {
 		assertSameCovering(t, "region", sc.Covers[i], c.Cover(rg))
 	}
@@ -152,8 +155,7 @@ func TestCoverSharedEmptyAndOutside(t *testing.T) {
 }
 
 // TestCoverSharedMinLevelFallsBack: MinLevel-constrained coverers take
-// Cover's seeded path wholesale; the shared result must still be
-// identical.
+// Cover's seeded path; the join's result must still be identical.
 func TestCoverSharedMinLevelFallsBack(t *testing.T) {
 	c := MustCoverer(testDomain(), Options{MinLevel: 4, MaxLevel: 10, MaxCells: 2048})
 	regions := []Region{
@@ -161,9 +163,6 @@ func TestCoverSharedMinLevelFallsBack(t *testing.T) {
 		RectRegion(geom.RectFromCenter(geom.Pt(70, 60), 9, 5)),
 	}
 	sc := c.CoverShared(regions)
-	if sc.Fallbacks != len(regions) {
-		t.Fatalf("MinLevel>0: %d fallbacks, want %d", sc.Fallbacks, len(regions))
-	}
 	for i, rg := range regions {
 		assertSameCovering(t, "region", sc.Covers[i], c.Cover(rg))
 	}

@@ -310,6 +310,20 @@ func parseRing(ring [][2]float64) (*geom.Polygon, error) {
 	return geom.TryPolygon(pts)
 }
 
+// parsePolygons parses the ring list of a batch query or a join; an error
+// names the offending ring as polygons[i].
+func parsePolygons(rings [][][2]float64) ([]*geom.Polygon, error) {
+	polys := make([]*geom.Polygon, len(rings))
+	for i, ring := range rings {
+		poly, err := parseRing(ring)
+		if err != nil {
+			return nil, fmt.Errorf("polygons[%d]: %w", i, err)
+		}
+		polys[i] = poly
+	}
+	return polys, nil
+}
+
 // queryStatus maps a query error to an HTTP status: schema errors are the
 // caller's fault.
 func queryStatus(err error) int {
@@ -348,6 +362,10 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Polygons != nil && len(req.Polygons) == 0 {
 		writeError(w, http.StatusBadRequest, "polygons must not be empty")
+		return
+	}
+	if len(req.Polygons) > maxJoinPolygons {
+		writeError(w, http.StatusBadRequest, "batch is capped at %d polygons, got %d", maxJoinPolygons, len(req.Polygons))
 		return
 	}
 	if len(req.Aggs) == 0 {
@@ -403,14 +421,10 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rj := toResultJSON(res)
 		resp.Result = &rj
 	default:
-		polys := make([]*geom.Polygon, len(req.Polygons))
-		for i, ring := range req.Polygons {
-			poly, err := parseRing(ring)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "polygons[%d]: %v", i, err)
-				return
-			}
-			polys[i] = poly
+		polys, err := parsePolygons(req.Polygons)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
 		}
 		results, err := d.QueryBatchOpts(polys, opts, reqs...)
 		if err != nil {
@@ -860,13 +874,12 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		// before the first join, so the interior-fraction ratio
 		// (interior / (interior + boundary)) is computable from stable
 		// series.
-		var jJoins, jPolys, jInterior, jBoundary, jFallbacks, jHits, jMisses float64
+		var jJoins, jPolys, jInterior, jBoundary, jHits, jMisses float64
 		if jc := st.Join; jc != nil {
 			jJoins = float64(jc.Joins)
 			jPolys = float64(jc.Polygons)
 			jInterior = float64(jc.InteriorPairs)
 			jBoundary = float64(jc.BoundaryPairs)
-			jFallbacks = float64(jc.Fallbacks)
 			jHits = float64(jc.CacheHits)
 			jMisses = float64(jc.CacheMisses)
 		}
@@ -874,7 +887,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writeMetric("geoblocks_join_polygons_total", l, jPolys)
 		writeMetric("geoblocks_join_interior_pairs_total", l, jInterior)
 		writeMetric("geoblocks_join_boundary_pairs_total", l, jBoundary)
-		writeMetric("geoblocks_join_fallbacks_total", l, jFallbacks)
 		writeMetric("geoblocks_join_cache_hits_total", l, jHits)
 		writeMetric("geoblocks_join_cache_misses_total", l, jMisses)
 		// Ingest/compaction series exist for every writable (non-mapped)

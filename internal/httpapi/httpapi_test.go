@@ -204,6 +204,9 @@ func TestQueryErrors(t *testing.T) {
 		{"degenerate polygon", `{"dataset":"taxi","polygon":[[0,0],[1,1]],"aggs":[{"func":"count"}]}`, http.StatusBadRequest},
 		{"degenerate batch polygon", `{"dataset":"taxi","polygons":[[[0,0],[1,1]]],"aggs":[{"func":"count"}]}`, http.StatusBadRequest},
 		{"empty batch", `{"dataset":"taxi","polygons":[],"aggs":[{"func":"count"}]}`, http.StatusBadRequest},
+		// The batch form shares /v1/join's polygon cap.
+		{"oversized batch", `{"dataset":"taxi","polygons":[` + strings.Repeat(`[[0,0],[1,0],[1,1]],`, maxJoinPolygons) +
+			`[[0,0],[1,0],[1,1]]],"aggs":[{"func":"count"}]}`, http.StatusBadRequest},
 		// Planner options: max_error must be a finite non-negative JSON
 		// number (JSON cannot carry NaN/Inf — a string stand-in is a type
 		// error, caught by the decoder) and workers must stay within the

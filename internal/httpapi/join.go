@@ -11,9 +11,10 @@ import (
 )
 
 // maxJoinPolygons caps one join request's polygon count (and a window's
-// nx*ny tile count): the operator is built for hundreds to a few
-// thousand regions per call, and the cap keeps one request's memory
-// bounded the same way maxBodyBytes bounds its wire size.
+// nx*ny tile count), and a /v1/query batch's: the operators are built
+// for hundreds to a few thousand regions per call, and the cap keeps one
+// request's memory bounded the same way maxBodyBytes bounds its wire
+// size.
 const maxJoinPolygons = 10_000
 
 // joinRequest is the POST /v1/join body. Exactly one region form must be
@@ -31,7 +32,9 @@ type joinRequest struct {
 	// MaxError plans the shared pyramid level for every region (0 =
 	// exact), exactly as for /v1/query.
 	MaxError float64 `json:"max_error,omitempty"`
-	// NoCache bypasses the result cache and the per-shard caches.
+	// NoCache bypasses the result cache. Joins never probe the per-shard
+	// query caches: the multi-region kernel reads the aggregate arrays
+	// directly either way.
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
@@ -59,21 +62,20 @@ func (jw *joinWindow) rects() []geom.Rect {
 	return out
 }
 
-// joinStatsJSON reports one join call's plan shape and classification
-// economy alongside the results.
+// joinStatsJSON reports one join call's plan shape and covering shape
+// alongside the results.
 type joinStatsJSON struct {
 	Polygons int `json:"polygons"`
 	// UniquePolygons counts the distinct geometries after content dedup;
 	// duplicated regions are covered once and replicated positionally.
 	UniquePolygons int `json:"unique_polygons"`
 	Level          int `json:"level"`
-	GridLevel      int `json:"grid_level"`
-	// InteriorPairs were answered O(1) from whole grid cells;
-	// InteriorFraction is their share of all classified pairs.
+	// InteriorPairs / BoundaryPairs count (polygon, covering cell) pairs:
+	// interior cells lie wholly inside their polygon and need no
+	// refinement. InteriorFraction is the interior share of all pairs.
 	InteriorPairs    int     `json:"interior_pairs"`
 	BoundaryPairs    int     `json:"boundary_pairs"`
 	InteriorFraction float64 `json:"interior_fraction"`
-	Fallbacks        int     `json:"fallbacks"`
 	CacheHits        int     `json:"cache_hits"`
 	CacheMisses      int     `json:"cache_misses"`
 }
@@ -83,11 +85,9 @@ func toJoinStatsJSON(s store.JoinStats) joinStatsJSON {
 		Polygons:         s.Polygons,
 		UniquePolygons:   s.UniquePolygons,
 		Level:            s.Level,
-		GridLevel:        s.GridLevel,
 		InteriorPairs:    s.InteriorPairs,
 		BoundaryPairs:    s.BoundaryPairs,
 		InteriorFraction: s.InteriorFraction(),
-		Fallbacks:        s.Fallbacks,
 		CacheHits:        s.CacheHits,
 		CacheMisses:      s.CacheMisses,
 	}
@@ -173,14 +173,10 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if req.Window != nil {
 		results, stats, err = d.JoinRects(req.Window.rects(), opts, reqs...)
 	} else {
-		polys := make([]*geom.Polygon, len(req.Polygons))
-		for i, ring := range req.Polygons {
-			poly, perr := parseRing(ring)
-			if perr != nil {
-				writeError(w, http.StatusBadRequest, "polygons[%d]: %v", i, perr)
-				return
-			}
-			polys[i] = poly
+		polys, perr := parsePolygons(req.Polygons)
+		if perr != nil {
+			writeError(w, http.StatusBadRequest, "%v", perr)
+			return
 		}
 		results, stats, err = d.Join(polys, opts, reqs...)
 	}
@@ -201,8 +197,8 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleClusterJoin is handleJoin's cluster-mode tail: the coordinator
-// plans the shared grid once and scatters each region's covering across
-// the peers. The window form joins the materialised tile outlines.
+// plans the join once and scatters each region's covering across the
+// peers. The window form joins the materialised tile outlines.
 func (s *server) handleClusterJoin(w http.ResponseWriter, r *http.Request, req joinRequest, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) {
 	start := time.Now()
 	var polys []*geom.Polygon
@@ -213,14 +209,10 @@ func (s *server) handleClusterJoin(w http.ResponseWriter, r *http.Request, req j
 			polys[i] = rc.Polygon()
 		}
 	} else {
-		polys = make([]*geom.Polygon, len(req.Polygons))
-		for i, ring := range req.Polygons {
-			poly, err := parseRing(ring)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "polygons[%d]: %v", i, err)
-				return
-			}
-			polys[i] = poly
+		var err error
+		if polys, err = parsePolygons(req.Polygons); err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
 		}
 	}
 	results, stats, err := s.cfg.Cluster.Join(r.Context(), req.Dataset, polys, opts, reqs)

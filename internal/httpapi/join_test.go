@@ -40,7 +40,7 @@ func TestJoinEndpoint(t *testing.T) {
 		if jr.Stats.Polygons != 3 {
 			t.Errorf("stats report %d polygons, want 3: %s", jr.Stats.Polygons, data)
 		}
-		if jr.Stats.InteriorPairs+jr.Stats.BoundaryPairs == 0 && jr.Stats.Fallbacks == 0 {
+		if jr.Stats.InteriorPairs+jr.Stats.BoundaryPairs == 0 {
 			t.Errorf("join classified nothing: %s", data)
 		}
 		// The join must agree with the batch query form element by

@@ -222,7 +222,6 @@ type Dataset struct {
 	joinPolygons    atomic.Uint64
 	joinInterior    atomic.Uint64
 	joinBoundary    atomic.Uint64
-	joinFallbacks   atomic.Uint64
 	joinCacheHits   atomic.Uint64
 	joinCacheMisses atomic.Uint64
 }
@@ -1347,11 +1346,12 @@ type JoinCounters struct {
 	// Joins counts join calls; Polygons the total polygons across them.
 	Joins    uint64 `json:"joins"`
 	Polygons uint64 `json:"polygons"`
-	// InteriorPairs / BoundaryPairs total the shared-grid classifications
-	// (interior pairs were answered with zero geometry tests).
+	// InteriorPairs / BoundaryPairs total the joins' (polygon, covering
+	// cell) pairs: cells wholly inside their polygon, and the rest.
 	InteriorPairs uint64 `json:"interior_pairs"`
 	BoundaryPairs uint64 `json:"boundary_pairs"`
-	// Fallbacks totals polygons answered by the single-region coverer.
+	// Fallbacks is always 0: joins cover every polygon with the one
+	// coverer, so nothing falls back. It stays for bench/, which reads it.
 	Fallbacks uint64 `json:"fallbacks"`
 	// CacheHits / CacheMisses total per-polygon result-cache outcomes
 	// inside joins.
@@ -1400,7 +1400,6 @@ func (d *Dataset) stats(includeShards bool) DatasetStats {
 			Polygons:      d.joinPolygons.Load(),
 			InteriorPairs: d.joinInterior.Load(),
 			BoundaryPairs: d.joinBoundary.Load(),
-			Fallbacks:     d.joinFallbacks.Load(),
 			CacheHits:     d.joinCacheHits.Load(),
 			CacheMisses:   d.joinCacheMisses.Load(),
 		}

@@ -13,9 +13,9 @@ import (
 
 // This file is the approximate geospatial join operator: K polygons,
 // per-polygon aggregates, one pass over the dataset. The plan is shared
-// — one pyramid level for the whole join, one shared-grid covering pass
-// (cover.CoverShared) classifying (polygon, grid cell) pairs interior or
-// boundary — and the execution fans out per *shard*, not per polygon:
+// — one pyramid level for the whole join, each distinct polygon covered
+// once by the same Cover a single query uses (cover.CoverShared) — and
+// the execution fans out per *shard*, not per polygon:
 // each involved shard runs the multi-accumulator kernel
 // (SelectCoveringMulti) once over all polygons routed to it, then
 // per-polygon partials merge in ascending shard order, base before
@@ -27,8 +27,8 @@ import (
 // re-associates (block caches, the shard merge). join_test.go pins the
 // equivalence with a randomized property suite.
 
-// JoinStats describes one join call: the shared plan's shape and the
-// classification economy (interior pairs cost zero geometry tests).
+// JoinStats describes one join call: the shared plan's shape and how
+// much of the coverings lies wholly inside their polygons.
 type JoinStats struct {
 	// Polygons is the number of join inputs.
 	Polygons int `json:"polygons"`
@@ -40,17 +40,12 @@ type JoinStats struct {
 	UniquePolygons int `json:"unique_polygons"`
 	// Level is the pyramid level the join was planned at.
 	Level int `json:"level"`
-	// GridLevel is the shared coarse grid's level (0 when every input
-	// was served from the result cache).
-	GridLevel int `json:"grid_level"`
-	// InteriorPairs / BoundaryPairs count (polygon, grid cell)
-	// classifications: interior pairs were answered wholesale from the
-	// grid cell with no boundary refinement.
+	// InteriorPairs / BoundaryPairs count the (polygon, covering cell)
+	// pairs of the polygons this call covered: interior pairs are cells
+	// wholly inside their polygon, answered with no refinement; boundary
+	// pairs are the rest.
 	InteriorPairs int `json:"interior_pairs"`
 	BoundaryPairs int `json:"boundary_pairs"`
-	// Fallbacks counts polygons covered by the single-region coverer
-	// (oversized coverings near the cell budget).
-	Fallbacks int `json:"fallbacks"`
 	// CacheHits / CacheMisses count per-polygon result-cache outcomes
 	// (both zero when the dataset has no result cache or the options
 	// bypass it).
@@ -58,7 +53,7 @@ type JoinStats struct {
 	CacheMisses int `json:"cache_misses"`
 }
 
-// InteriorFraction returns the share of classified pairs that were
+// InteriorFraction returns the share of covering pairs that were
 // interior — the join metric served at /metrics.
 func (s JoinStats) InteriorFraction() float64 {
 	total := s.InteriorPairs + s.BoundaryPairs
@@ -69,7 +64,7 @@ func (s JoinStats) InteriorFraction() float64 {
 }
 
 // Join answers one aggregate query per polygon in a single pass: plan
-// once, cover against the shared grid, fan out per shard through the
+// once, cover each distinct polygon, fan out per shard through the
 // multi-accumulator kernel, merge per-polygon partials in shard order.
 // Results align positionally with polys. opts.MaxError plans the shared
 // level and opts.DisableCache bypasses the result cache.
@@ -146,7 +141,7 @@ func (d *Dataset) JoinRects(rects []geom.Rect, opts geoblocks.QueryOptions, reqs
 }
 
 // PlanJoin plans a join for the cluster coordinator: one shared pyramid
-// level, one shared-grid covering pass, one Plan per polygon. Every
+// level, one covering per polygon, one Plan per polygon. Every
 // replica holding the same build derives the identical plans, so a
 // coordinator can scatter each polygon's sub-coverings through the
 // existing partial wire and inherit the single-node merge contract.
@@ -168,10 +163,8 @@ func (d *Dataset) PlanJoin(polys []*geom.Polygon, maxError float64) ([]Plan, Joi
 		Polygons:       len(polys),
 		UniquePolygons: len(polys),
 		Level:          lvl,
-		GridLevel:      sc.GridLevel,
 		InteriorPairs:  sc.InteriorPairs,
 		BoundaryPairs:  sc.BoundaryPairs,
-		Fallbacks:      sc.Fallbacks,
 	}
 	d.noteJoin(stats)
 	return plans, stats
@@ -184,7 +177,6 @@ func (d *Dataset) noteJoin(s JoinStats) {
 	d.joinPolygons.Add(uint64(s.Polygons))
 	d.joinInterior.Add(uint64(s.InteriorPairs))
 	d.joinBoundary.Add(uint64(s.BoundaryPairs))
-	d.joinFallbacks.Add(uint64(s.Fallbacks))
 	d.joinCacheHits.Add(uint64(s.CacheHits))
 	d.joinCacheMisses.Add(uint64(s.CacheMisses))
 }
@@ -205,8 +197,8 @@ func (d *Dataset) join(regions []cover.Region, total int, opts geoblocks.QueryOp
 	served := make([]bool, len(regions)) // result-cache hits, already final
 
 	// Per-polygon result-cache resolution: hits are final, memoized
-	// coverings skip classification, cold misses go through the shared
-	// grid. Hit/miss counters bump per element inside Lookup.
+	// coverings skip classification, cold misses are covered below.
+	// Hit/miss counters bump per element inside Lookup.
 	useCache := d.results != nil && !opts.DisableCache
 	var gen uint64
 	var tag string
@@ -238,9 +230,9 @@ func (d *Dataset) join(regions []cover.Region, total int, opts geoblocks.QueryOp
 		}
 	}
 
-	// One shared-grid pass covers every polygon that still needs a
-	// covering; each result is identical to the single-region Cover, so
-	// cached coverings and shared-grid coverings are interchangeable.
+	// Cover every polygon that still needs a covering, with the Cover a
+	// single query uses, so cached and fresh coverings are
+	// interchangeable.
 	if len(toCover) > 0 {
 		c := d.covererAt(lvl)
 		sub := make([]cover.Region, len(toCover))
@@ -248,10 +240,8 @@ func (d *Dataset) join(regions []cover.Region, total int, opts geoblocks.QueryOp
 			sub[j] = regions[i]
 		}
 		sc := c.CoverShared(sub)
-		stats.GridLevel = sc.GridLevel
 		stats.InteriorPairs = sc.InteriorPairs
 		stats.BoundaryPairs = sc.BoundaryPairs
-		stats.Fallbacks = sc.Fallbacks
 		for j, i := range toCover {
 			covs[i], bounds[i] = sc.Covers[j].Cells, sc.Bounds[j]
 		}

@@ -11,8 +11,8 @@ import (
 // benchJoinSetup builds a tract-join workload with every polygon
 // distinct: a sharded pyramid dataset and 500 small tract polygons,
 // planned below full resolution. All-distinct inputs keep the dedup
-// fast path out of the loop, so the benchmark isolates the shared-grid
-// pass and the multi-accumulator kernel themselves.
+// fast path out of the loop, so the benchmark isolates the covering
+// step and the multi-accumulator kernel themselves.
 func benchJoinSetup(b *testing.B) (*Dataset, []*geom.Polygon, geoblocks.QueryOptions, []geoblocks.AggRequest) {
 	b.Helper()
 	d := buildDataset(b, "taxi", 60_000, 1, Options{Level: 14, ShardLevel: 2, PyramidLevels: 5})

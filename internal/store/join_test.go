@@ -78,7 +78,7 @@ func TestJoinEquivalence(t *testing.T) {
 				if stats.Polygons != len(polys) {
 					t.Fatalf("stats report %d polygons, want %d", stats.Polygons, len(polys))
 				}
-				if stats.InteriorPairs+stats.BoundaryPairs == 0 && stats.Fallbacks == 0 && stats.CacheHits == 0 {
+				if stats.InteriorPairs+stats.BoundaryPairs == 0 && stats.CacheHits == 0 {
 					t.Fatalf("join classified nothing: %+v", stats)
 				}
 				for i, poly := range polys {
