@@ -390,3 +390,33 @@ func TestDomainClamping(t *testing.T) {
 		}
 	}
 }
+
+// TestCursorChildrenMatchIJ checks Cursor's child rule against the
+// Hilbert decode: for random cells at every level, each child's derived
+// (i, j) equals ID.IJ() and its orientation equals the one NewCursor
+// recomputes from the child's id.
+func TestCursorChildrenMatchIJ(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for level := 0; level < MaxLevel; level++ {
+		for trial := 0; trial < 2000; trial++ {
+			id := FromPos(rng.Uint64()&(NumCells(level)-1), level)
+			c := NewCursor(id)
+			if i, j := id.IJ(); c.ID != id || c.I != i || c.J != j {
+				t.Fatalf("NewCursor(%v) = %+v, IJ() = (%d,%d)", id, c, i, j)
+			}
+			ids := id.Children()
+			for k, ch := range c.Children() {
+				if ch.ID != ids[k] {
+					t.Fatalf("%v child %d: id %v, Children() has %v", id, k, ch.ID, ids[k])
+				}
+				i, j := ch.ID.IJ()
+				if ch.I != i || ch.J != j {
+					t.Fatalf("%v child %d: derived (%d,%d), IJ() = (%d,%d)", id, k, ch.I, ch.J, i, j)
+				}
+				if want := NewCursor(ch.ID).Orient; ch.Orient != want {
+					t.Fatalf("%v child %d: orientation %d, recomputed %d", id, k, ch.Orient, want)
+				}
+			}
+		}
+	}
+}

@@ -66,3 +66,48 @@ func posToIJ(pos uint64, level uint) (i, j uint32) {
 	}
 	return x, y
 }
+
+// Cursor is a cell together with its grid coordinates and its Hilbert
+// orientation, so a top-down walk can step to children without decoding
+// their ids. The orientation is the transform posToIJ applies to a
+// cell's children: bit 0 swaps the axes, bit 1 complements both. The two
+// commute, so an ancestor chain composes by XOR.
+type Cursor struct {
+	ID     ID
+	I, J   uint32
+	Orient uint8
+}
+
+// digitOrient is the orientation Hilbert digit k adds: posToIJ swaps
+// below digit 0, complements and swaps below digit 3.
+var digitOrient = [4]uint8{1, 0, 0, 3}
+
+// NewCursor returns the cursor of id, decoding its position once.
+func NewCursor(id ID) Cursor {
+	c := Cursor{ID: id}
+	c.I, c.J = id.IJ()
+	for pos, n := id.Pos(), id.Level(); n > 0; pos, n = pos>>2, n-1 {
+		c.Orient ^= digitOrient[pos&3]
+	}
+	return c
+}
+
+// Children returns the cursors of c's four children in Hilbert order, as
+// ID.Children orders them. It must not be called on a leaf cell.
+func (c Cursor) Children() [4]Cursor {
+	ids := c.ID.Children()
+	var out [4]Cursor
+	for k := range out {
+		// posToIJ's quadrant of digit k, then the parent's orientation.
+		rx := uint32(k >> 1)
+		ry := uint32(k^int(rx)) & 1
+		if c.Orient&1 != 0 {
+			rx, ry = ry, rx
+		}
+		if c.Orient&2 != 0 {
+			rx, ry = rx^1, ry^1
+		}
+		out[k] = Cursor{ID: ids[k], I: c.I<<1 | rx, J: c.J<<1 | ry, Orient: c.Orient ^ digitOrient[k]}
+	}
+	return out
+}

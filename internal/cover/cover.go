@@ -15,12 +15,20 @@
 // cell iff one of its parent's edges meets it, those edges become its
 // children's list, and only a cell that no edge meets pays one
 // point-in-polygon test to tell interior from exterior (classifier, below).
+//
+// The walk is level order and never decodes a Hilbert id: each frontier
+// cell carries its grid coordinates and curve orientation
+// (cellid.Cursor), from which its rectangle and its children follow
+// directly. Every level emits one ascending run of cells, so the covering
+// is sorted by merging those runs, not by a comparison sort. The walk's
+// scratch slices come from a pool and only the returned Covering is
+// allocated.
 package cover
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"geoblocks/internal/cellid"
 	"geoblocks/internal/geom"
@@ -57,8 +65,9 @@ type classifier struct {
 	edges  []edge
 }
 
-func newClassifier(region Region) classifier {
-	k := classifier{region: region}
+// newClassifier builds region's classifier, appending its edges to buf.
+func newClassifier(region Region, buf []edge) classifier {
+	k := classifier{region: region, edges: buf}
 	p, ok := region.(*geom.Polygon)
 	if !ok {
 		return k
@@ -68,7 +77,7 @@ func newClassifier(region Region) classifier {
 	for _, h := range p.Holes() {
 		n += len(h)
 	}
-	k.edges = make([]edge, 0, n)
+	k.edges = slices.Grow(k.edges, n)
 	k.addRing(p.Outer())
 	for _, h := range p.Holes() {
 		k.addRing(h)
@@ -229,41 +238,89 @@ func (c *Coverer) Domain() cellid.Domain { return c.dom }
 //   - no covering cell is below MaxLevel or above MinLevel;
 //   - cells are disjoint and sorted ascending;
 //   - cells marked Interior are fully inside the region.
+//
+// Cover is safe for concurrent use; its scratch comes from a pool, and
+// the returned Covering owns its slices.
 func (c *Coverer) Cover(region Region) *Covering {
 	// Intersection returns an invalid rect when the region's bound and the
 	// domain do not overlap — the only empty-covering case.
 	bb := region.Bound().Intersection(c.dom.Bound())
-	out := &Covering{}
 	if !bb.IsValid() {
-		return out
+		return &Covering{}
 	}
 
-	k := newClassifier(region)
+	w := walkPool.Get().(*walk)
+	k := newClassifier(region, w.edges[:0])
 	start := c.enclosingCell(bb)
 	if start.Level() < c.opts.MinLevel {
 		// Seed with all MinLevel descendants that intersect the region
 		// instead of one giant cell, so MinLevel is respected.
-		c.seedAtLevel(&k, start, c.opts.MinLevel, out)
-		return c.finish(out)
+		c.seedAtLevel(&k, start, c.opts.MinLevel, w)
+	} else {
+		c.walkLevels(&k, start, w)
 	}
+	w.edges = k.edges
+	cov := w.covering()
+	w.release()
+	return cov
+}
 
-	// Refinement is coarsest-first so the cell budget goes to the big
-	// boundary cells first. Children are one level finer than their parent
-	// and children of ascending disjoint parents ascend, so "coarsest
-	// first, then by id" is a level-order walk over two frontier slices.
-	// A frontier cell's edge list is lists[lo:hi]; the lists of the next
-	// level are filled into nextLists while this level is classified.
-	type cell struct {
-		id     cellid.ID
-		lo, hi int32
+// walk is the scratch of one Cover call: the classifier's edges, the
+// level-order walk's frontier and edge-list arrays, the emitted cells with
+// the bounds of their ascending runs, and the merge buffer. Cover takes it
+// from walkPool and copies the result out before putting it back, so no
+// pooled memory escapes into a Covering.
+type walk struct {
+	edges            []edge
+	frontier, next   []cell
+	lists, nextLists []int32
+	out, merged      []emitted
+	runs             []int
+}
+
+// cell is a frontier cell: its cursor and its edge list lists[lo:hi].
+type cell struct {
+	cellid.Cursor
+	lo, hi int32
+}
+
+// emitted is a covering cell with its Interior flag.
+type emitted struct {
+	id       cellid.ID
+	interior bool
+}
+
+var walkPool = sync.Pool{New: func() any { return new(walk) }}
+
+// maxPooledLen is the longest scratch slice a walk may hold and still go
+// back to the pool, so one giant polygon does not pin its memory.
+const maxPooledLen = 1 << 14
+
+func (w *walk) release() {
+	if max(cap(w.edges), cap(w.frontier), cap(w.next), cap(w.lists), cap(w.nextLists),
+		cap(w.out), cap(w.merged), cap(w.runs)) <= maxPooledLen {
+		walkPool.Put(w)
 	}
-	lists := k.appendAll(nil)
-	frontier, next := []cell{{start, 0, int32(len(lists))}}, []cell(nil)
-	var nextLists []int32
+}
+
+// walkLevels refines from start coarsest-first, so the cell budget goes to
+// the big boundary cells first. Children are one level finer than their
+// parent and children of ascending disjoint parents ascend, so "coarsest
+// first, then by id" is a level-order walk over two frontier slices, and
+// each level emits one ascending run. A frontier cell carries its grid
+// coordinates and Hilbert orientation, so no cell id is decoded. Its edge
+// list is lists[lo:hi]; the lists of the next level are filled into
+// nextLists while this level is classified. Cover only walks from a start
+// at MinLevel or finer, so every level may emit.
+func (c *Coverer) walkLevels(k *classifier, start cellid.ID, w *walk) {
+	lists := k.appendAll(w.lists[:0])
+	frontier := append(w.frontier[:0], cell{cellid.NewCursor(start), 0, int32(len(lists))})
+	next, nextLists := w.next[:0], w.nextLists[:0]
+	out, runs := w.out[:0], append(w.runs[:0], 0)
 	for level := start.Level(); len(frontier) > 0; level++ {
 		for i, f := range frontier {
 			n := len(nextLists)
-			rel := k.classify(c.dom.CellRect(f.id), lists[f.lo:f.hi], &nextLists)
+			rel := k.classify(c.dom.CellRectAt(f.I, f.J, level), lists[f.lo:f.hi], &nextLists)
 			if rel == geom.RectDisjoint {
 				continue
 			}
@@ -271,62 +328,100 @@ func (c *Coverer) Cover(region Region) *Covering {
 			// Budget check: the four children plus whatever is pending or
 			// emitted must stay within MaxCells, otherwise emit as-is.
 			pending := len(frontier) - i - 1 + len(next)
-			if level >= c.opts.MinLevel && (contained || level >= c.opts.MaxLevel ||
-				len(out.Cells)+pending+4 > c.opts.MaxCells) {
-				out.Cells = append(out.Cells, f.id)
-				out.Interior = append(out.Interior, contained)
+			if contained || level >= c.opts.MaxLevel || len(out)+pending+4 > c.opts.MaxCells {
+				out = append(out, emitted{f.ID, contained})
 				nextLists = nextLists[:n]
 				continue
 			}
 			lo, hi := int32(n), int32(len(nextLists))
-			for _, child := range f.id.Children() {
+			for _, child := range f.Children() {
 				next = append(next, cell{child, lo, hi})
 			}
+		}
+		if len(out) > runs[len(runs)-1] {
+			runs = append(runs, len(out))
 		}
 		frontier, next = next, frontier[:0]
 		lists, nextLists = nextLists, lists[:0]
 	}
-	return c.finish(out)
+	w.frontier, w.next, w.lists, w.nextLists = frontier, next, lists, nextLists
+	w.out, w.runs = out, runs
 }
 
 // seedAtLevel emits all descendants of start at the given level that
-// intersect the region. Used when the enclosing cell is coarser than
-// MinLevel.
-func (c *Coverer) seedAtLevel(k *classifier, start cellid.ID, level int, out *Covering) {
-	all := k.appendAll(nil)
-	var hits []int32
+// intersect the region, in ascending order: one run. Used when the
+// enclosing cell is coarser than MinLevel.
+func (c *Coverer) seedAtLevel(k *classifier, start cellid.ID, level int, w *walk) {
+	all := k.appendAll(w.lists[:0])
+	hits := w.nextLists[:0]
+	out := w.out[:0]
 	begin := start.ChildBeginAt(level)
 	end := start.ChildEndAt(level)
 	for id := begin; ; id = id.Next() {
 		hits = hits[:0]
 		if rel := k.classify(c.dom.CellRect(id), all, &hits); rel != geom.RectDisjoint {
-			out.Cells = append(out.Cells, id)
-			out.Interior = append(out.Interior, rel == geom.RectContains)
+			out = append(out, emitted{id, rel == geom.RectContains})
 		}
 		if id == end {
 			break
 		}
 	}
+	w.lists, w.nextLists = all, hits
+	w.out, w.runs = out, append(w.runs[:0], 0, len(out))
 }
 
-func (c *Coverer) finish(out *Covering) *Covering {
-	// Sort by id, carrying the interior flags along.
-	idx := make([]int, len(out.Cells))
-	for i := range idx {
-		idx[i] = i
+// covering merges the emitted runs into a Covering with exact-size slices
+// of its own.
+func (w *walk) covering() *Covering {
+	merged := w.merge()
+	cov := &Covering{Cells: make([]cellid.ID, len(merged)), Interior: make([]bool, len(merged))}
+	for i, e := range merged {
+		cov.Cells[i] = e.id
+		cov.Interior[i] = e.interior
 	}
-	slices.SortFunc(idx, func(a, b int) int {
-		return cmp.Compare(out.Cells[a], out.Cells[b])
-	})
-	cells := make([]cellid.ID, len(idx))
-	interior := make([]bool, len(idx))
-	for i, j := range idx {
-		cells[i] = out.Cells[j]
-		interior[i] = out.Interior[j]
+	return cov
+}
+
+// merge sorts w.out by merging its ascending runs out[runs[r]:runs[r+1]]
+// pairwise, back and forth between out and merged: O(n log r) for r runs.
+func (w *walk) merge() []emitted {
+	src, runs := w.out, w.runs
+	if len(runs) <= 2 {
+		return src
 	}
-	out.Cells = cells
-	out.Interior = interior
-	return out
+	dst := slices.Grow(w.merged[:0], len(src))[:len(src)]
+	for len(runs) > 2 {
+		// Run r/2 of the next pass is runs r and r+1 of this one; an odd
+		// last run is copied across alone.
+		last, nr := len(runs)-1, 0
+		for r := 0; r < last; r += 2 {
+			lo, mid, hi := runs[r], runs[r+1], runs[min(r+2, last)]
+			mergeRuns(dst[lo:hi], src[lo:mid], src[mid:hi])
+			runs[nr] = lo
+			nr++
+		}
+		runs[nr] = runs[last]
+		runs = runs[:nr+1]
+		src, dst = dst, src
+	}
+	w.out, w.merged = src, dst
+	return src
+}
+
+// mergeRuns merges the ascending runs a and b into dst, which has room for
+// both.
+func mergeRuns(dst, a, b []emitted) {
+	k := 0
+	for len(a) > 0 && len(b) > 0 {
+		if a[0].id < b[0].id {
+			dst[k], a = a[0], a[1:]
+		} else {
+			dst[k], b = b[0], b[1:]
+		}
+		k++
+	}
+	k += copy(dst[k:], a)
+	copy(dst[k:], b)
 }
 
 // enclosingCell returns the smallest single cell whose rectangle contains

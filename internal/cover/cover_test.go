@@ -2,9 +2,11 @@ package cover
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"geoblocks/internal/cellid"
@@ -290,6 +292,191 @@ func TestCoverMatchesGolden(t *testing.T) {
 		}
 		if got := h.Sum64(); got != golden.hash {
 			t.Errorf("MaxCells=%d: covering hash %#x, golden %#x", golden.maxCells, got, golden.hash)
+		}
+	}
+}
+
+// holeRectRegions is the fixed input of TestCoverHolesAndRectsMatchGolden:
+// jittered stars with one hole, with two holes, and with one hole that
+// crosses the outer ring (AddHole does not check containment), then
+// rectangles, one of them flush with the domain border and one hanging
+// over it.
+func holeRectRegions() []Region {
+	rng := rand.New(rand.NewSource(11))
+	var regions []Region
+	for i := 0; i < 36; i++ {
+		r := 0.3 * math.Pow(120, rng.Float64())
+		c := geom.Pt(rng.Float64()*100, rng.Float64()*100)
+		n := 12 + rng.Intn(13)
+		ring := make([]geom.Point, n)
+		for j := range ring {
+			a := 2 * math.Pi * float64(j) / float64(n)
+			rj := r * (0.55 + 0.45*rng.Float64())
+			ring[j] = geom.Pt(c.X+rj*math.Cos(a), c.Y+rj*math.Sin(a))
+		}
+		p := geom.NewPolygon(ring)
+		var holes []*geom.Polygon
+		switch i % 3 {
+		case 0:
+			holes = append(holes, geom.RegularPolygon(c, 0.3*r, 5+rng.Intn(6)))
+		case 1:
+			holes = append(holes,
+				geom.RegularPolygon(geom.Pt(c.X-0.25*r, c.Y), 0.15*r, 4+rng.Intn(5)),
+				geom.RegularPolygon(geom.Pt(c.X+0.25*r, c.Y), 0.15*r, 4+rng.Intn(5)))
+		default:
+			holes = append(holes, geom.RegularPolygon(geom.Pt(c.X+0.8*r, c.Y), 0.4*r, 6))
+		}
+		for _, h := range holes {
+			if err := p.AddHole(h.Outer()); err != nil {
+				panic(err)
+			}
+		}
+		regions = append(regions, p)
+	}
+	for _, r := range []geom.Rect{
+		{Min: geom.Pt(22, 31), Max: geom.Pt(57, 66)},
+		{Min: geom.Pt(0, 20), Max: geom.Pt(30, 100)},
+		{Min: geom.Pt(-10, 60), Max: geom.Pt(15, 110)},
+		{Min: geom.Pt(49.9, 50.1), Max: geom.Pt(50.3, 50.2)},
+		{Min: geom.Pt(12.5, 12.5), Max: geom.Pt(87.5, 37.5)},
+	} {
+		regions = append(regions, RectRegion(r))
+	}
+	return regions
+}
+
+// TestCoverHolesAndRectsMatchGolden pins what TestCoverMatchesGolden does
+// not reach: polygons with holes, a hole crossing its outer ring, and
+// rectangle regions. Same MaxLevel x MinLevel x MaxCells grid and hash
+// layout; the hashes were taken from the walk that decoded every cell's
+// Hilbert id and sorted its output.
+func TestCoverHolesAndRectsMatchGolden(t *testing.T) {
+	dom := testDomain()
+	regions := holeRectRegions()
+	for _, golden := range []struct {
+		maxCells int
+		hash     uint64
+	}{
+		{4, 0x25fb276535b9b3fd},
+		{8, 0xfc36493ebe27ce9e},
+		{24, 0x5584e0733dcf324f},
+		{100, 0x311203eb59d89f5e},
+		{500, 0x4beccfc634e903a6},
+		{2048, 0x30bb9c99219bf6bb},
+	} {
+		h := fnv.New64a()
+		var buf [9]byte
+		for _, maxLevel := range []int{6, 10, 14, 18} {
+			for _, minLevel := range []int{0, 3} {
+				c := MustCoverer(dom, Options{MaxLevel: maxLevel, MinLevel: minLevel, MaxCells: golden.maxCells})
+				for _, rg := range regions {
+					cov := c.Cover(rg)
+					for i, id := range cov.Cells {
+						binary.LittleEndian.PutUint64(buf[:], uint64(id))
+						buf[8] = 0
+						if cov.Interior[i] {
+							buf[8] = 1
+						}
+						h.Write(buf[:])
+					}
+					h.Write([]byte{0xff})
+				}
+			}
+		}
+		if got := h.Sum64(); got != golden.hash {
+			t.Errorf("MaxCells=%d: covering hash %#x, golden %#x", golden.maxCells, got, golden.hash)
+		}
+	}
+}
+
+// diffCovering describes the first difference between got and want, or
+// returns "" when they are cell-for-cell and flag-for-flag identical.
+func diffCovering(got, want *Covering) string {
+	if len(got.Cells) != len(want.Cells) || len(got.Interior) != len(want.Interior) {
+		return fmt.Sprintf("%d cells, want %d", len(got.Cells), len(want.Cells))
+	}
+	for i := range want.Cells {
+		if got.Cells[i] != want.Cells[i] || got.Interior[i] != want.Interior[i] {
+			return fmt.Sprintf("cell %d = %v/%v, want %v/%v", i, got.Cells[i], got.Interior[i], want.Cells[i], want.Interior[i])
+		}
+	}
+	return ""
+}
+
+// TestCoverConcurrentMatchesSerial checks the pooled walk scratch: eight
+// goroutines share one Coverer, and every covering equals the serial one
+// and stays equal after later Cover calls have reused the scratch. The
+// regions are explore-shaped stars, a polygon truncated by MaxCells, and a
+// 2 500-vertex polygon; the truncated polygon is also covered under a
+// budget whose scratch is too large to go back to the pool. Overwriting a
+// returned Covering must not change a later answer.
+func TestCoverConcurrentMatchesSerial(t *testing.T) {
+	dom := testDomain()
+	c := MustCoverer(dom, DefaultOptions(14))
+	wide := MustCoverer(dom, Options{MaxLevel: 14, MaxCells: 2 * maxPooledLen})
+	rng := rand.New(rand.NewSource(5))
+	type job struct {
+		c  *Coverer
+		rg Region
+	}
+	var jobs []job
+	for _, p := range exploreStars(rng, 24) {
+		jobs = append(jobs, job{c, p})
+	}
+	truncated := testPolygon()
+	jobs = append(jobs, job{c, truncated}, job{c, geom.RegularPolygon(geom.Pt(50, 50), 25, 2500)}, job{wide, truncated})
+
+	want := make([]*Covering, len(jobs))
+	for i, j := range jobs {
+		want[i] = j.c.Cover(j.rg)
+	}
+	if got := c.GuaranteedErrorDistance(want[len(jobs)-3]); got <= dom.CellDiagonal(14) {
+		t.Fatalf("truncated polygon's covering was refined to MaxLevel (bound %g)", got)
+	}
+	if n := want[len(jobs)-1].Len(); n <= maxPooledLen {
+		t.Fatalf("wide covering has %d cells, want more than %d", n, maxPooledLen)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			kept := make([]*Covering, len(jobs))
+			for round := 0; round < 2; round++ {
+				for n := range jobs {
+					i := (n + 5*g) % len(jobs)
+					kept[i] = jobs[i].c.Cover(jobs[i].rg)
+					if d := diffCovering(kept[i], want[i]); d != "" {
+						errs <- fmt.Sprintf("goroutine %d job %d: %s", g, i, d)
+						return
+					}
+				}
+				// Earlier answers must survive every later walk.
+				for i, cov := range kept {
+					if d := diffCovering(cov, want[i]); d != "" {
+						errs <- fmt.Sprintf("goroutine %d job %d, kept: %s", g, i, d)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+
+	for i, j := range jobs {
+		cov := j.c.Cover(j.rg)
+		for k := range cov.Cells {
+			cov.Cells[k] = cellid.Root()
+			cov.Interior[k] = !cov.Interior[k]
+		}
+		if d := diffCovering(j.c.Cover(j.rg), want[i]); d != "" {
+			t.Fatalf("job %d after overwriting its last covering: %s", i, d)
 		}
 	}
 }
