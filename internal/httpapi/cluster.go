@@ -227,5 +227,5 @@ func (s *server) handleClusterQuery(w http.ResponseWriter, r *http.Request, req 
 		}
 	}
 	resp.ElapsedUS = time.Since(start).Microseconds()
-	writeJSON(w, http.StatusOK, resp)
+	writeAppended(w, appendQueryResponse(nil, &resp))
 }

@@ -336,9 +336,9 @@ func queryStatus(err error) int {
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.reqQuery.Add(1)
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed request body: %v", err)
+	req, err := decodeWire(r.Body, r.ContentLength, (*queryRequest).readWire)
+	if err != nil {
+		writeError(w, bodyErrStatus(err), "malformed request body: %v", err)
 		return
 	}
 	if req.Dataset == "" {
@@ -437,7 +437,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp.ElapsedUS = time.Since(start).Microseconds()
-	writeJSON(w, http.StatusOK, resp)
+	writeAppended(w, appendQueryResponse(nil, &resp))
 }
 
 // datasetsResponse is the GET /v1/datasets body.

@@ -219,6 +219,9 @@ func TestQueryErrors(t *testing.T) {
 		{"huge workers", `{"dataset":"taxi","rect":[0,0,1,1],"workers":100000,"aggs":[{"func":"count"}]}`, http.StatusBadRequest},
 		{"negative max_error on batch", `{"dataset":"taxi","polygons":[[[0,0],[1,0],[1,1],[0,1]]],"max_error":-1,"aggs":[{"func":"count"}]}`, http.StatusBadRequest},
 		{"bad workers on batch", `{"dataset":"taxi","polygons":[[[0,0],[1,0],[1,1],[0,1]]],"workers":-7,"aggs":[{"func":"count"}]}`, http.StatusBadRequest},
+		// A body past maxBodyBytes, its value still open at the cap, is
+		// refused as too large, as on the ingest endpoint.
+		{"over-cap body", `{"dataset":"taxi","polygons":[` + strings.Repeat(`[[0,0],[1,0],[1,1]],`, maxBodyBytes/20+1), http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"net/http"
 	"time"
 
@@ -105,9 +104,9 @@ type joinResponse struct {
 func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	s.reqJoin.Add(1)
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var req joinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "malformed request body: %v", err)
+	req, err := decodeWire(r.Body, r.ContentLength, (*joinRequest).readWire)
+	if err != nil {
+		writeError(w, bodyErrStatus(err), "malformed request body: %v", err)
 		return
 	}
 	if req.Dataset == "" {
@@ -169,7 +168,6 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var results []geoblocks.Result
 	var stats store.JoinStats
-	var err error
 	if req.Window != nil {
 		results, stats, err = d.JoinRects(req.Window.rects(), opts, reqs...)
 	} else {
@@ -193,7 +191,7 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		resp.Results[i] = toResultJSON(res)
 	}
 	resp.ElapsedUS = time.Since(start).Microseconds()
-	writeJSON(w, http.StatusOK, resp)
+	writeAppended(w, appendJoinResponse(nil, &resp))
 }
 
 // handleClusterJoin is handleJoin's cluster-mode tail: the coordinator
@@ -229,5 +227,5 @@ func (s *server) handleClusterJoin(w http.ResponseWriter, r *http.Request, req j
 		resp.Results[i] = toResultJSON(res)
 	}
 	resp.ElapsedUS = time.Since(start).Microseconds()
-	writeJSON(w, http.StatusOK, resp)
+	writeAppended(w, appendJoinResponse(nil, &resp))
 }

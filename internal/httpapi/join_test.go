@@ -128,6 +128,7 @@ func TestJoinEndpointErrors(t *testing.T) {
 		{"zero window grid", `{"dataset":"taxi","window":{"rect":[0,0,1,1],"nx":0,"ny":3},"aggs":[{"func":"count"}]}`, http.StatusBadRequest},
 		{"oversized window grid", `{"dataset":"taxi","window":{"rect":[0,0,1,1],"nx":200,"ny":200},"aggs":[{"func":"count"}]}`, http.StatusBadRequest},
 		{"negative max_error", `{"dataset":"taxi","polygons":[[[0,0],[1,0],[1,1]]],"aggs":[{"func":"count"}],"max_error":-2}`, http.StatusBadRequest},
+		{"over-cap body", `{"dataset":"taxi","polygons":[` + strings.Repeat(`[[0,0],[1,0],[1,1]],`, maxBodyBytes/20+1), http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
