@@ -222,8 +222,8 @@ func runQuery(args []string) error {
 	return nil
 }
 
-// runJoin answers one aggregate query per region in a single pass over
-// the block — the CLI face of the join operator. Regions come
+// runJoin answers one aggregate query per region with one shared plan
+// over the block — the CLI face of the join operator. Regions come
 // either as semicolon-separated polygon rings (-polys) or as an nx-by-ny
 // tile grid over a window rect. -compare also runs the same regions as
 // sequential queries and reports the speedup.

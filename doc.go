@@ -63,7 +63,7 @@
 //
 // For multi-dataset, multi-shard deployments the package exposes the
 // hooks a spatial router needs — SplitCovering to divide one covering
-// into per-shard sub-coverings and QueryCoveringPartial plus
+// into per-shard sub-coverings and QueryCoveringPartialOpts plus
 // Accumulator.MergeFrom to combine per-shard partial results exactly.
 // internal/store builds the sharded dataset registry on these hooks and
 // cmd/geoblocksd serves it over HTTP; docs/ARCHITECTURE.md shows the full

@@ -354,19 +354,6 @@ func (g *GeoBlock) QueryRectOpts(r Rect, opts QueryOptions, reqs ...AggRequest) 
 	return t.execCovering(cov.Cells, t.coverer.GuaranteedErrorDistance(cov), opts, reqs)
 }
 
-// QueryCoveringOpts is QueryOpts over a pre-computed covering. The
-// covering fixes the grid level, so opts.MaxError does not re-plan: the
-// query executes against this block as given (compute the covering with
-// AtLevel's coverer to target a pyramid level). Without interior flags the
-// reported bound is conservative — the diagonal of the coarsest covering
-// cell.
-func (g *GeoBlock) QueryCoveringOpts(cov []CellID, opts QueryOptions, reqs ...AggRequest) (Result, error) {
-	if err := opts.Validate(); err != nil {
-		return Result{}, err
-	}
-	return g.execCovering(cov, g.coveringBound(cov), opts, reqs)
-}
-
 // coveringBound is the conservative guaranteed bound of a bare cell list:
 // the diagonal of its coarsest cell, 0 for an empty covering.
 func (g *GeoBlock) coveringBound(cov []CellID) float64 {
@@ -386,50 +373,31 @@ func (g *GeoBlock) QueryRect(r Rect, reqs ...AggRequest) (Result, error) {
 	return g.QueryRectOpts(r, QueryOptions{}, reqs...)
 }
 
-// QueryCovering answers a SELECT query over a pre-computed covering.
+// QueryCovering answers a SELECT query over a pre-computed covering,
+// exact and cached, against this block as given: the covering fixes the
+// grid level (compute it with AtLevel's coverer to target a pyramid
+// level). Without interior flags the reported bound is conservative —
+// the diagonal of the coarsest covering cell.
 func (g *GeoBlock) QueryCovering(cov []CellID, reqs ...AggRequest) (Result, error) {
-	return g.QueryCoveringOpts(cov, QueryOptions{}, reqs...)
+	return g.execCovering(cov, g.coveringBound(cov), QueryOptions{}, reqs)
 }
 
-// QueryCoveringPartial answers a SELECT query over a pre-computed covering
-// but stops before finalisation, returning the partial accumulator. It is
-// the per-shard hook of a sharded deployment (internal/store): a router
-// computes one covering, splits it with SplitCovering, runs one partial
-// per shard and merges them with Accumulator.MergeFrom before calling
-// Result. With an enabled cache the partial goes through the adapted cache
-// algorithm (probes, statistics and auto-refresh included), exactly like
-// Query.
-func (g *GeoBlock) QueryCoveringPartial(cov []CellID, reqs ...AggRequest) (*Accumulator, error) {
-	return g.QueryCoveringPartialOpts(cov, QueryOptions{}, reqs...)
-}
-
-// QueryCoveringPartialOpts is QueryCoveringPartial with options. Like the
-// other covering-taking forms it never re-plans the level — the sharded
-// router resolves the pyramid level once per query (LevelFor, AtLevel) and
-// computes one covering at it. DisableCache bypasses the cache.
+// QueryCoveringPartialOpts answers a SELECT query over a pre-computed
+// covering but stops before finalisation, returning the partial
+// accumulator. It is the per-shard hook of a sharded deployment
+// (internal/store): a router computes one covering, splits it with
+// SplitCovering, runs one partial per shard and merges them with
+// Accumulator.MergeFrom before calling Result. With an enabled cache the
+// partial goes through the adapted cache algorithm (probes, statistics
+// and auto-refresh included), exactly like Query; DisableCache bypasses
+// it. Like QueryCovering it never re-plans the level — the sharded
+// router resolves the pyramid level once per query (LevelFor, AtLevel)
+// and computes one covering at it.
 func (g *GeoBlock) QueryCoveringPartialOpts(cov []CellID, opts QueryOptions, reqs ...AggRequest) (*Accumulator, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	return g.selectPartial(cov, opts, reqs)
-}
-
-// QueryCoveringMultiPartial answers one SELECT query per covering in a
-// single ordered pass over the block's aggregates (core
-// SelectCoveringMulti): every covering cell becomes a key-range span
-// scattered into its query's accumulator, so K overlapping coverings
-// cost one traversal instead of K. Each returned accumulator is
-// bit-identical to QueryCoveringPartial on its covering alone —
-// including SUM/AVG — which is what lets the join operator promise
-// equivalence with N sequential queries. The multi kernel reads the
-// aggregate arrays directly: it neither probes nor warms the query
-// cache (result caching for joins lives at the store layer).
-func (g *GeoBlock) QueryCoveringMultiPartial(covs [][]CellID, reqs ...AggRequest) ([]*Accumulator, error) {
-	specs, err := resolveSpecs(g.inner.Schema(), reqs)
-	if err != nil {
-		return nil, err
-	}
-	return g.inner.SelectCoveringMulti(covs, specs)
 }
 
 // JoinInfo reports the plan shape of one JoinOpts call: the pyramid
@@ -442,14 +410,13 @@ type JoinInfo struct {
 	BoundaryPairs int
 }
 
-// JoinOpts answers one aggregate query per polygon in a single pass over
-// the block: the planner resolves one pyramid level for the whole set,
-// each polygon is covered exactly as QueryOpts covers it, and the
-// multi-accumulator kernel walks the aggregate arrays once, scattering
-// into per-polygon accumulators.
-// Results align positionally with polys and each is bit-identical to
-// QueryOpts on that polygon alone with the cache disabled (the multi
-// kernel reads the aggregate arrays directly).
+// JoinOpts answers one aggregate query per polygon in one call: the
+// planner resolves one pyramid level for the whole set, each polygon is
+// covered exactly as QueryOpts covers it, and each covering runs through
+// the single-query kernel with the cache disabled (joins stay off the
+// query cache). Results align positionally with polys and each is
+// bit-identical to QueryOpts on that polygon alone with the cache
+// disabled.
 func (g *GeoBlock) JoinOpts(polys []*Polygon, opts QueryOptions, reqs ...AggRequest) ([]Result, JoinInfo, error) {
 	target, err := g.plan(opts)
 	if err != nil {
@@ -460,20 +427,12 @@ func (g *GeoBlock) JoinOpts(polys []*Polygon, opts QueryOptions, reqs ...AggRequ
 		regions[i] = p
 	}
 	sc := target.coverer.CoverShared(regions)
-	covs := make([][]CellID, len(polys))
-	for i := range polys {
-		covs[i] = sc.Covers[i].Cells
-	}
-	accs, err := target.QueryCoveringMultiPartial(covs, reqs...)
-	if err != nil {
-		return nil, JoinInfo{}, err
-	}
 	results := make([]Result, len(polys))
-	for i, acc := range accs {
-		res := acc.Result()
-		res.Level = target.Level()
-		res.ErrorBound = sc.Bounds[i]
-		results[i] = res
+	for i, cov := range sc.Covers {
+		results[i], err = target.execCovering(cov.Cells, sc.Bounds[i], QueryOptions{DisableCache: true}, reqs)
+		if err != nil {
+			return nil, JoinInfo{}, err
+		}
 	}
 	info := JoinInfo{
 		Level:         target.Level(),

@@ -540,7 +540,7 @@ func TestQueryCoveringPartialMerge(t *testing.T) {
 		root := geoblocks.CellID(1) << (2 * geoblocks.MaxLevel)
 		var total *geoblocks.Accumulator
 		for _, q := range root.Children() {
-			acc, err := blk.QueryCoveringPartial(geoblocks.SplitCovering(cov, q), reqs...)
+			acc, err := blk.QueryCoveringPartialOpts(geoblocks.SplitCovering(cov, q), geoblocks.QueryOptions{}, reqs...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -566,8 +566,8 @@ func TestQueryCoveringPartialMerge(t *testing.T) {
 	}
 
 	// Mismatched specs refuse to merge.
-	a1, _ := blk.QueryCoveringPartial(nil, geoblocks.Count())
-	a2, _ := blk.QueryCoveringPartial(nil, geoblocks.Min("fare"))
+	a1, _ := blk.QueryCoveringPartialOpts(nil, geoblocks.QueryOptions{}, geoblocks.Count())
+	a2, _ := blk.QueryCoveringPartialOpts(nil, geoblocks.QueryOptions{}, geoblocks.Min("fare"))
 	if err := a1.MergeFrom(a2); err == nil {
 		t.Fatal("mismatched-spec merge accepted")
 	}

@@ -32,8 +32,8 @@ type joinRequest struct {
 	// exact), exactly as for /v1/query.
 	MaxError float64 `json:"max_error,omitempty"`
 	// NoCache bypasses the result cache. Joins never probe the per-shard
-	// query caches: the multi-region kernel reads the aggregate arrays
-	// directly either way.
+	// query caches: their per-shard SELECT runs with the query cache
+	// disabled either way.
 	NoCache bool `json:"no_cache,omitempty"`
 }
 

@@ -580,22 +580,26 @@ func ErrorBucket(maxError float64) int {
 
 // PolygonKey derives the canonical query key of a polygon query: the
 // FNV-1a hash of the polygon's normalized rings (orientation-normalised
-// vertices, holes included) plus the planned level, error bucket and
-// canonical aggregate spec.
+// vertices, holes included, each ring prefixed by its vertex count so no
+// two ring splits of one vertex sequence hash alike) plus the planned
+// level, error bucket and canonical aggregate spec.
 func PolygonKey(p *geom.Polygon, level int, maxError float64, aggs string) Key {
 	h := fnvOffset
-	for _, v := range p.Outer() {
+	h = mixRing(h, p.Outer())
+	for _, hole := range p.Holes() {
+		h = mixRing(h, hole)
+	}
+	return Key{Geom: h, Level: level, Bucket: ErrorBucket(maxError), Aggs: aggs}
+}
+
+// mixRing folds one ring into h: its vertex count, then its vertices.
+func mixRing(h uint64, ring []geom.Point) uint64 {
+	h = fnvMix64(h, uint64(len(ring)))
+	for _, v := range ring {
 		h = fnvMix64(h, math.Float64bits(v.X))
 		h = fnvMix64(h, math.Float64bits(v.Y))
 	}
-	for _, hole := range p.Holes() {
-		h = fnvMixByte(h, 0xb1) // ring separator
-		for _, v := range hole {
-			h = fnvMix64(h, math.Float64bits(v.X))
-			h = fnvMix64(h, math.Float64bits(v.Y))
-		}
-	}
-	return Key{Geom: h, Level: level, Bucket: ErrorBucket(maxError), Aggs: aggs}
+	return h
 }
 
 // RectKey derives the canonical query key of a rectangle query. Rects

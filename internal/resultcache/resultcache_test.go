@@ -1,7 +1,9 @@
 package resultcache
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"testing"
 
 	"geoblocks/internal/cellid"
@@ -353,6 +355,35 @@ func TestKeyDerivation(t *testing.T) {
 	}
 	if PolygonKey(withHole, 14, 0, "count").Geom == k1.Geom {
 		t.Fatal("hole ignored by geometry hash")
+	}
+
+	// Two polygons whose vertex bytes, read ring after ring, agree once a
+	// bare 0xb1 byte separates the rings: b's fourth outer vertex starts
+	// with 0xb1, and a's hole starts with a vertex made of that vertex's
+	// other 15 bytes followed by 0xb1. Ring lengths must tell them apart.
+	lowByte := func(f float64, v byte) float64 {
+		return math.Float64frombits(math.Float64bits(f)&^0xff | uint64(v))
+	}
+	v3 := geom.Pt(lowByte(30, 0xb1), lowByte(70, 0x40))
+	var raw [17]byte
+	binary.LittleEndian.PutUint64(raw[0:], math.Float64bits(v3.X))
+	binary.LittleEndian.PutUint64(raw[8:], math.Float64bits(v3.Y))
+	raw[16] = 0xb1
+	w := geom.Pt(
+		math.Float64frombits(binary.LittleEndian.Uint64(raw[1:])),
+		math.Float64frombits(binary.LittleEndian.Uint64(raw[9:])),
+	)
+	inner := []geom.Point{geom.Pt(40, 40), geom.Pt(40, 60), geom.Pt(60, 60)}
+	splitB := geom.NewPolygon([]geom.Point{geom.Pt(10, 10), geom.Pt(90, 10), geom.Pt(90, 90), v3})
+	splitA := geom.NewPolygon([]geom.Point{geom.Pt(10, 10), geom.Pt(90, 10), geom.Pt(90, 90)})
+	if err := splitB.AddHole(inner); err != nil {
+		t.Fatalf("AddHole: %v", err)
+	}
+	if err := splitA.AddHole(append([]geom.Point{w}, inner...)); err != nil {
+		t.Fatalf("AddHole: %v", err)
+	}
+	if PolygonKey(splitA, 14, 0, "count").Geom == PolygonKey(splitB, 14, 0, "count").Geom {
+		t.Fatal("ring splits of one vertex sequence collided")
 	}
 
 	kr := RectKey(r, 14, 0, "count")

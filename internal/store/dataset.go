@@ -623,25 +623,30 @@ func levelBlock(blk *geoblocks.GeoBlock, lvl int) *geoblocks.GeoBlock {
 	return blk
 }
 
-// shardPartial acquires one shard, runs its sub-covering against the
-// planned level's block, and releases the pin. The pin only needs to
-// outlive the scan: a returned Accumulator holds pre-combined scalar
-// state, so merging and finalising it never touch the (possibly
-// evicted) shard arrays again.
-//
-// When the shard carries pending ingest rows, the delta partial is
-// merged AFTER the base partial, always — the fixed base-then-delta
-// order keeps COUNT/MIN/MAX bit-identical to a rebuilt dataset and makes
-// SUM's reassociation deterministic for a given delta state. The
-// leaf-containment test inside QueryRowsPartial is exact at every
-// pyramid level, so delta rows answer planned (coarse-level) queries
-// with the same spatial semantics as base rows.
+// shardPartial acquires one shard, runs blockPartial on its
+// sub-covering, and releases the pin. The pin only needs to outlive the
+// scan: a returned Accumulator holds pre-combined scalar state, so
+// merging and finalising it never touch the (possibly evicted) shard
+// arrays again.
 func shardPartial(sh *shard, sub []cellid.ID, lvl int, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) (*geoblocks.Accumulator, error) {
 	blk, release, err := sh.acquire()
 	if err != nil {
 		return nil, err
 	}
 	defer release()
+	return blockPartial(sh, blk, sub, lvl, opts, reqs)
+}
+
+// blockPartial answers one shard's sub-covering against blk, the shard's
+// acquired block: the planned level's block runs the covering, then any
+// pending ingest rows of the shard merge in. The delta partial is merged
+// AFTER the base partial, always — the fixed base-then-delta order keeps
+// COUNT/MIN/MAX bit-identical to a rebuilt dataset and makes SUM's
+// reassociation deterministic for a given delta state. The
+// leaf-containment test inside QueryRowsPartial is exact at every
+// pyramid level, so delta rows answer planned (coarse-level) queries
+// with the same spatial semantics as base rows.
+func blockPartial(sh *shard, blk *geoblocks.GeoBlock, sub []cellid.ID, lvl int, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) (*geoblocks.Accumulator, error) {
 	acc, err := levelBlock(blk, lvl).QueryCoveringPartialOpts(sub, opts, reqs...)
 	if err != nil || sh.delta == nil || len(sub) == 0 {
 		return acc, err

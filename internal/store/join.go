@@ -12,18 +12,16 @@ import (
 )
 
 // This file is the approximate geospatial join operator: K polygons,
-// per-polygon aggregates, one pass over the dataset. The plan is shared
-// — one pyramid level for the whole join, each distinct polygon covered
-// once by the same Cover a single query uses (cover.CoverShared) — and
-// the execution fans out per *shard*, not per polygon:
-// each involved shard runs the multi-accumulator kernel
-// (SelectCoveringMulti) once over all polygons routed to it, then
-// per-polygon partials merge in ascending shard order, base before
-// delta, exactly the order the sequential Query path uses. Answers are
-// therefore bit-identical to N sequential Query calls for COUNT/MIN/MAX
-// (and on the uncached path for SUM too — the multi kernel combines
-// each polygon's ranges in the same sequence); SUM stays within the
-// documented reassociation bound whenever any path involved
+// per-polygon aggregates, one request. The plan is shared — one pyramid
+// level for the whole join, each distinct polygon covered once by the
+// same Cover a single query uses (cover.CoverShared) — and the execution
+// is the single query's: each involved shard is pinned once, every
+// polygon routed to it runs the same per-shard partial a Query runs
+// (blockPartial: base, then delta), and per-polygon partials merge in
+// ascending shard order, exactly the sequential Query path's merge tree.
+// Answers are therefore bit-identical to N sequential Query calls for
+// COUNT/MIN/MAX (and on the uncached path for SUM too); SUM stays within
+// the documented reassociation bound whenever any path involved
 // re-associates (block caches, the shard merge). join_test.go pins the
 // equivalence with a randomized property suite.
 
@@ -63,9 +61,9 @@ func (s JoinStats) InteriorFraction() float64 {
 	return float64(s.InteriorPairs) / float64(total)
 }
 
-// Join answers one aggregate query per polygon in a single pass: plan
-// once, cover each distinct polygon, fan out per shard through the
-// multi-accumulator kernel, merge per-polygon partials in shard order.
+// Join answers one aggregate query per polygon in one call: plan once,
+// cover each distinct polygon, run each polygon's per-shard partials
+// through the single-query kernel, merge them in shard order.
 // Results align positionally with polys. opts.MaxError plans the shared
 // level and opts.DisableCache bypasses the result cache.
 func (d *Dataset) Join(polys []*geom.Polygon, opts geoblocks.QueryOptions, reqs ...geoblocks.AggRequest) ([]geoblocks.Result, JoinStats, error) {
@@ -105,27 +103,31 @@ func (d *Dataset) Join(polys []*geom.Polygon, opts geoblocks.QueryOptions, reqs 
 }
 
 // polygonContentKey is an exact byte-string of the polygon's rings, used
-// to recognise repeated polygons within one join request. Unlike the
-// result cache's hashed key, equality here is exact, so deduplication
-// can never alias two distinct polygons.
+// to recognise repeated polygons within one join request: each ring is
+// its vertex count followed by its vertices, so no two ring splits of
+// one vertex sequence share a key. Unlike the result cache's hashed key,
+// equality here is exact, so deduplication can never alias two distinct
+// polygons.
 func polygonContentKey(p *geom.Polygon) string {
-	n := len(p.Outer()) * 16
+	n := 8 + len(p.Outer())*16
 	for _, h := range p.Holes() {
-		n += len(h)*16 + 1
+		n += 8 + len(h)*16
 	}
-	b := make([]byte, 0, n)
-	for _, v := range p.Outer() {
+	b := appendRing(make([]byte, 0, n), p.Outer())
+	for _, h := range p.Holes() {
+		b = appendRing(b, h)
+	}
+	return string(b)
+}
+
+// appendRing appends one ring's vertex count, then its vertices.
+func appendRing(b []byte, ring []geom.Point) []byte {
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(ring)))
+	for _, v := range ring {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.X))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Y))
 	}
-	for _, h := range p.Holes() {
-		b = append(b, 0xb1) // ring separator
-		for _, v := range h {
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.X))
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Y))
-		}
-	}
-	return string(b)
+	return b
 }
 
 // JoinRects is Join over rectangles — the window/grid fast path (a batch
@@ -247,62 +249,44 @@ func (d *Dataset) join(regions []cover.Region, total int, opts geoblocks.QueryOp
 		}
 	}
 
-	// Shard fan-out: walk the shards in ascending cell order once; each
-	// shard answers every polygon routed to it in one multi-kernel pass
-	// (base), then per-polygon delta partials merge base-then-delta.
-	// Accumulating in shard order as we go reproduces the sequential
-	// query's merge tree exactly.
+	// Shard fan-out: walk the shards in ascending cell order once,
+	// pinning each involved shard once for all of its polygons; each
+	// routed polygon runs blockPartial, the single-query partial (base,
+	// then delta). Accumulating in shard order as we go reproduces the
+	// sequential query's merge tree exactly.
+	joinOpts := geoblocks.QueryOptions{DisableCache: true}
 	totals := make([]*geoblocks.Accumulator, len(regions))
 	for si := range d.shards {
 		sh := &d.shards[si]
-		var idx []int
-		var subs [][]cellid.ID
+		var blk *geoblocks.GeoBlock
+		release := func() {}
 		for i := range regions {
 			if served[i] {
 				continue
 			}
-			if sub := geoblocks.SplitCovering(covs[i], sh.cell); len(sub) > 0 {
-				idx = append(idx, i)
-				subs = append(subs, sub)
+			sub := geoblocks.SplitCovering(covs[i], sh.cell)
+			if len(sub) == 0 {
+				continue
 			}
-		}
-		if len(idx) == 0 {
-			continue
-		}
-		blk, release, err := sh.acquire()
-		if err != nil {
-			return nil, stats, err
-		}
-		accs, err := levelBlock(blk, lvl).QueryCoveringMultiPartial(subs, reqs...)
-		if err != nil {
-			release()
-			return nil, stats, err
-		}
-		if sh.delta != nil {
-			if leaves, cols := sh.delta.view(); len(leaves) > 0 {
-				for j := range idx {
-					dacc, err := blk.QueryRowsPartial(subs[j], leaves, cols, reqs...)
-					if err != nil {
-						release()
-						return nil, stats, err
-					}
-					if err := accs[j].MergeFrom(dacc); err != nil {
-						release()
-						return nil, stats, err
-					}
+			if blk == nil {
+				var err error
+				if blk, release, err = sh.acquire(); err != nil {
+					return nil, stats, err
 				}
+			}
+			acc, err := blockPartial(sh, blk, sub, lvl, joinOpts, reqs)
+			if err == nil && totals[i] != nil {
+				err = totals[i].MergeFrom(acc)
+			}
+			if err != nil {
+				release()
+				return nil, stats, err
+			}
+			if totals[i] == nil {
+				totals[i] = acc
 			}
 		}
 		release()
-		for j, i := range idx {
-			if totals[i] == nil {
-				totals[i] = accs[j]
-				continue
-			}
-			if err := totals[i].MergeFrom(accs[j]); err != nil {
-				return nil, stats, err
-			}
-		}
 	}
 
 	// Finalise: routed polygons from their merged partials, unrouted

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -171,6 +172,100 @@ func TestJoinThroughDelta(t *testing.T) {
 			t.Fatalf("sequential query %d: %v", i, err)
 		}
 		assertBitIdentical(t, "delta join", got[i], want)
+	}
+
+	// The same delta under a pyramid: planned (coarser) levels merge the
+	// delta rows into each polygon's per-shard partial exactly as a
+	// sequential query does.
+	pd := buildDataset(t, "joindeltapyr", 8_000, 13, Options{Level: 11, ShardLevel: 2, PyramidLevels: 4})
+	if _, err := pd.Ingest(pts, cols); err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	for _, maxErr := range []float64{0, 0.5, 3} {
+		opts := geoblocks.QueryOptions{MaxError: maxErr}
+		got, stats, err := pd.Join(polys, opts, testReqs...)
+		if err != nil {
+			t.Fatalf("join (maxErr %v): %v", maxErr, err)
+		}
+		if maxErr == 3 && stats.Level >= 11 {
+			t.Fatalf("maxErr 3 planned at level %d, want a pyramid level below 11", stats.Level)
+		}
+		for i, poly := range polys {
+			want, err := pd.QueryOpts(poly, opts, testReqs...)
+			if err != nil {
+				t.Fatalf("sequential query %d: %v", i, err)
+			}
+			assertBitIdentical(t, "pyramid delta join", got[i], want)
+		}
+	}
+}
+
+// holeSplitPolygons returns two distinct polygons whose vertices, read
+// ring after ring, are one byte sequence apart from where the rings
+// split: b's fourth outer vertex has 0xb1 as its first byte, and a's
+// hole starts with a vertex built from that vertex's other 15 bytes
+// followed by 0xb1. A key that joins rings with a bare 0xb1 byte cannot
+// tell them apart.
+func holeSplitPolygons(t *testing.T) (a, b *geom.Polygon) {
+	t.Helper()
+	lowByte := func(f float64, v byte) float64 {
+		return math.Float64frombits(math.Float64bits(f)&^0xff | uint64(v))
+	}
+	v3 := geom.Pt(lowByte(30, 0xb1), lowByte(70, 0x40))
+	var raw [17]byte
+	binary.LittleEndian.PutUint64(raw[0:], math.Float64bits(v3.X))
+	binary.LittleEndian.PutUint64(raw[8:], math.Float64bits(v3.Y))
+	raw[16] = 0xb1
+	w := geom.Pt(
+		math.Float64frombits(binary.LittleEndian.Uint64(raw[1:])),
+		math.Float64frombits(binary.LittleEndian.Uint64(raw[9:])),
+	)
+	hole := []geom.Point{geom.Pt(40, 40), geom.Pt(40, 60), geom.Pt(60, 60)}
+	b = geom.NewPolygon([]geom.Point{geom.Pt(10, 10), geom.Pt(90, 10), geom.Pt(90, 90), v3})
+	a = geom.NewPolygon([]geom.Point{geom.Pt(10, 10), geom.Pt(90, 10), geom.Pt(90, 90)})
+	if err := b.AddHole(hole); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AddHole(append([]geom.Point{w}, hole...)); err != nil {
+		t.Fatal(err)
+	}
+	return a, b
+}
+
+// TestJoinKeepsHoleSplitsApart: two distinct polygons that differ only
+// in where one ring ends and the next begins are neither deduplicated by
+// the join nor conflated by the result cache.
+func TestJoinKeepsHoleSplitsApart(t *testing.T) {
+	d := buildDataset(t, "joinholes", 20_000, 13, Options{Level: 11, ShardLevel: 2})
+	a, b := holeSplitPolygons(t)
+	polys := []*geom.Polygon{a, b}
+	got, stats, err := d.Join(polys, geoblocks.QueryOptions{}, testReqs...)
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	if stats.UniquePolygons != 2 {
+		t.Fatalf("unique polygons = %d, want 2", stats.UniquePolygons)
+	}
+	want := make([]geoblocks.Result, len(polys))
+	for i, poly := range polys {
+		if want[i], err = d.QueryOpts(poly, geoblocks.QueryOptions{}, testReqs...); err != nil {
+			t.Fatalf("sequential query %d: %v", i, err)
+		}
+		assertBitIdentical(t, "hole-split join", got[i], want[i])
+	}
+	if want[0].Count == want[1].Count {
+		t.Fatalf("both polygons count %d rows; the fixture must tell them apart", want[0].Count)
+	}
+
+	if err := d.EnableResultCache(1<<20, 0); err != nil {
+		t.Fatalf("enable result cache: %v", err)
+	}
+	for i, poly := range polys {
+		res, err := d.Query(poly, testReqs...)
+		if err != nil {
+			t.Fatalf("cached query %d: %v", i, err)
+		}
+		assertBitIdentical(t, "hole-split cached query", res, want[i])
 	}
 }
 

@@ -75,6 +75,21 @@ func TestMappedEquivalence(t *testing.T) {
 		assertEquivalent(t, gotBatch[i], wantBatch[i], "mapped batch")
 	}
 
+	for _, maxErr := range []float64{0, 2} {
+		opts := geoblocks.QueryOptions{MaxError: maxErr}
+		wantJoin, _, err := d.Join(polys, opts, testReqs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJoin, _, err := md.Join(polys, opts, testReqs...)
+		if err != nil {
+			t.Fatalf("mapped join (maxErr=%v): %v", maxErr, err)
+		}
+		for i := range wantJoin {
+			assertEquivalent(t, gotJoin[i], wantJoin[i], "mapped join")
+		}
+	}
+
 	st := md.Stats()
 	if !st.Mapped || st.MappedBytes <= 0 {
 		t.Fatalf("mapped stats: mapped=%v mapped_bytes=%d", st.Mapped, st.MappedBytes)

@@ -10,8 +10,8 @@ import (
 
 // TestJoinOptsMatchesSequential pins the public single-block join: every
 // per-polygon result must be bit-identical to QueryOpts on that polygon
-// alone (cache disabled — the multi kernel reads the aggregate arrays
-// directly), at full resolution and through the pyramid planner.
+// alone (cache disabled — joins stay off the query cache), at full
+// resolution and through the pyramid planner.
 func TestJoinOptsMatchesSequential(t *testing.T) {
 	b := newTestBuilder(t, 20000, 3)
 	blk, err := b.Build(12, nil)
