@@ -88,8 +88,9 @@ func main() {
 	}
 
 	// 2. A batch polygon query: three Manhattan-ish quadrilaterals in one
-	// request. The daemon computes one covering per polygon, splits each
-	// across the shards it touches, and answers the batch concurrently.
+	// request. The daemon runs it as a join: it covers the polygons in
+	// parallel, splits each covering across the shards it touches, and
+	// answers every polygon a shard holds while that shard is pinned.
 	batch := map[string]any{
 		"dataset": "taxi",
 		"polygons": [][][2]float64{

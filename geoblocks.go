@@ -411,12 +411,13 @@ type JoinInfo struct {
 }
 
 // JoinOpts answers one aggregate query per polygon in one call: the
-// planner resolves one pyramid level for the whole set, each polygon is
-// covered exactly as QueryOpts covers it, and each covering runs through
-// the single-query kernel with the cache disabled (joins stay off the
-// query cache). Results align positionally with polys and each is
-// bit-identical to QueryOpts on that polygon alone with the cache
-// disabled.
+// planner resolves one pyramid level for the whole set, the polygons are
+// covered in parallel exactly as QueryOpts covers each one
+// (cover.CoverShared), and each covering runs through the single-query
+// kernel with the caller's options, so the query cache serves a join as
+// it serves a query unless opts.DisableCache is set. Results align
+// positionally with polys and each is bit-identical to QueryOpts on that
+// polygon alone with the same options and cache state.
 func (g *GeoBlock) JoinOpts(polys []*Polygon, opts QueryOptions, reqs ...AggRequest) ([]Result, JoinInfo, error) {
 	target, err := g.plan(opts)
 	if err != nil {
@@ -429,7 +430,7 @@ func (g *GeoBlock) JoinOpts(polys []*Polygon, opts QueryOptions, reqs ...AggRequ
 	sc := target.coverer.CoverShared(regions)
 	results := make([]Result, len(polys))
 	for i, cov := range sc.Covers {
-		results[i], err = target.execCovering(cov.Cells, sc.Bounds[i], QueryOptions{DisableCache: true}, reqs)
+		results[i], err = target.execCovering(cov.Cells, sc.Bounds[i], opts, reqs)
 		if err != nil {
 			return nil, JoinInfo{}, err
 		}

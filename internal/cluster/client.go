@@ -70,12 +70,18 @@ type Client struct {
 	addrs   map[string]string        // last seen addr by node name
 }
 
+// maxPeerConns is how many polygons one cluster join or batch executes
+// at once, and so about how many partial requests it keeps open to any
+// one peer (retries and hedges aside); the transport keeps as many idle
+// connections per peer, so those requests reuse a fixed pool.
+const maxPeerConns = 16
+
 // NewClient builds a client tuned by cfg's timeout/retry/hedge fields.
 func NewClient(cfg *Config) *Client {
 	return &Client{
 		hc: &http.Client{
 			Transport: &http.Transport{
-				MaxIdleConnsPerHost: 16,
+				MaxIdleConnsPerHost: maxPeerConns,
 				IdleConnTimeout:     90 * time.Second,
 			},
 		},
@@ -201,13 +207,15 @@ func (c *Client) Fetch(ctx context.Context, chain []Node, req *PartialRequest, d
 		err error
 	}
 	results := make(chan outcome, len(chain))
+	// exhausted[i] closes once replica i has failed every attempt, never
+	// when it answers: a winning replica cancels ctx instead, so the
+	// next replica is not started only to be cancelled.
 	exhausted := make([]chan struct{}, len(chain))
 	for i := range exhausted {
 		exhausted[i] = make(chan struct{})
 	}
 
 	attempt := func(i int, n Node, hedged bool) {
-		defer close(exhausted[i])
 		pc := c.counters(n)
 		if hedged {
 			pc.hedges.Add(1)
@@ -249,6 +257,7 @@ func (c *Client) Fetch(ctx context.Context, chain []Node, req *PartialRequest, d
 				break
 			}
 		}
+		close(exhausted[i])
 		results <- outcome{idx: i, err: lastErr}
 	}
 

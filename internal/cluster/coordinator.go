@@ -161,12 +161,9 @@ func (c *Coordinator) Stats() Stats {
 
 // Query answers a polygon query cluster-wide.
 func (c *Coordinator) Query(ctx context.Context, name string, poly *geom.Polygon, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) (geoblocks.Result, error) {
-	if err := opts.Validate(); err != nil {
+	d, err := c.dataset(name, opts)
+	if err != nil {
 		return geoblocks.Result{}, err
-	}
-	d, ok := c.store.Get(name)
-	if !ok {
-		return geoblocks.Result{}, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
 	}
 	plan := d.PlanCover(poly, opts.MaxError)
 	return c.execute(ctx, d, name, plan, opts, reqs)
@@ -174,21 +171,49 @@ func (c *Coordinator) Query(ctx context.Context, name string, poly *geom.Polygon
 
 // QueryRect answers a rectangle query cluster-wide.
 func (c *Coordinator) QueryRect(ctx context.Context, name string, r geom.Rect, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) (geoblocks.Result, error) {
-	if err := opts.Validate(); err != nil {
+	d, err := c.dataset(name, opts)
+	if err != nil {
 		return geoblocks.Result{}, err
-	}
-	d, ok := c.store.Get(name)
-	if !ok {
-		return geoblocks.Result{}, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
 	}
 	plan := d.PlanCoverRect(r, opts.MaxError)
 	return c.execute(ctx, d, name, plan, opts, reqs)
 }
 
-// QueryBatch answers one query per polygon, concurrently, positionally
-// aligned with polys. Per-element errors fail the batch (matching the
-// single-node batch contract).
+// QueryBatch answers one query per polygon, positionally aligned with
+// polys: the cluster join without its stats. Per-element errors fail
+// the batch (matching the single-node batch contract).
 func (c *Coordinator) QueryBatch(ctx context.Context, name string, polys []*geom.Polygon, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) ([]geoblocks.Result, error) {
+	d, err := c.dataset(name, opts)
+	if err != nil {
+		return nil, err
+	}
+	results, _, err := c.join(ctx, d, name, polys, opts, reqs)
+	return results, err
+}
+
+// Join answers a polygon join cluster-wide: the plan is computed once on
+// the coordinator's copy of the dataset (one level, one covering per
+// polygon — PlanJoin), then each polygon's planned covering scatters
+// through the same per-shard partial machinery as a single query, with
+// maxPeerConns polygons in flight at once. Because each polygon's
+// partials merge in ascending shard order, per-polygon answers are
+// bit-identical to the single-node Join (and hence to N sequential
+// queries) for COUNT/MIN/MAX. A successful join is folded into the
+// dataset's join counters.
+func (c *Coordinator) Join(ctx context.Context, name string, polys []*geom.Polygon, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) ([]geoblocks.Result, store.JoinStats, error) {
+	d, err := c.dataset(name, opts)
+	if err != nil {
+		return nil, store.JoinStats{}, err
+	}
+	results, stats, err := c.join(ctx, d, name, polys, opts, reqs)
+	if err == nil {
+		d.NoteJoin(stats)
+	}
+	return results, stats, err
+}
+
+// dataset validates the options and resolves the named dataset.
+func (c *Coordinator) dataset(name string, opts geoblocks.QueryOptions) (*store.Dataset, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -196,52 +221,27 @@ func (c *Coordinator) QueryBatch(ctx context.Context, name string, polys []*geom
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
 	}
-	results := make([]geoblocks.Result, len(polys))
-	errs := make([]error, len(polys))
-	var wg sync.WaitGroup
-	for i, poly := range polys {
-		wg.Add(1)
-		go func(i int, poly *geom.Polygon) {
-			defer wg.Done()
-			plan := d.PlanCover(poly, opts.MaxError)
-			results[i], errs[i] = c.execute(ctx, d, name, plan, opts, reqs)
-		}(i, poly)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+	return d, nil
 }
 
-// Join answers a polygon join cluster-wide: the plan is computed once on
-// the coordinator's copy of the dataset (one level, one covering per
-// polygon — PlanJoin), then each polygon's planned covering
-// scatters through the same per-shard partial machinery as a single
-// query, concurrently across polygons. Because each polygon's partials
-// merge in ascending shard order, per-polygon answers are bit-identical
-// to the single-node Join (and hence to N sequential queries) for
-// COUNT/MIN/MAX.
-func (c *Coordinator) Join(ctx context.Context, name string, polys []*geom.Polygon, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) ([]geoblocks.Result, store.JoinStats, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, store.JoinStats{}, err
-	}
-	d, ok := c.store.Get(name)
-	if !ok {
-		return nil, store.JoinStats{}, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
-	}
+// join is the cluster's one multi-region executor, behind Join and
+// QueryBatch: plan every polygon at one level, then execute the plans
+// through maxPeerConns workers, so one request of up to the region cap
+// never holds more than that many polygons' partial requests open.
+func (c *Coordinator) join(ctx context.Context, d *store.Dataset, name string, polys []*geom.Polygon, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) ([]geoblocks.Result, store.JoinStats, error) {
 	plans, stats := d.PlanJoin(polys, opts.MaxError)
 	results := make([]geoblocks.Result, len(polys))
 	errs := make([]error, len(polys))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := range polys {
+	for w := 0; w < min(maxPeerConns, len(polys)); w++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			results[i], errs[i] = c.execute(ctx, d, name, plans[i], opts, reqs)
-		}(i)
+			for i := int(next.Add(1)) - 1; i < len(polys); i = int(next.Add(1)) - 1 {
+				results[i], errs[i] = c.execute(ctx, d, name, plans[i], opts, reqs)
+			}
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -36,6 +37,8 @@ type flakyProxy struct {
 	delay  time.Duration
 
 	hits atomic.Uint64
+	// inflight counts requests being served; peak is its high-water mark.
+	inflight, peak atomic.Int64
 }
 
 func newFlakyProxy(t *testing.T, backend string) *flakyProxy {
@@ -69,6 +72,10 @@ func (p *flakyProxy) take() (string, time.Duration) {
 
 func (p *flakyProxy) serve(w http.ResponseWriter, r *http.Request) {
 	p.hits.Add(1)
+	n := p.inflight.Add(1)
+	defer p.inflight.Add(-1)
+	for m := p.peak.Load(); n > m && !p.peak.CompareAndSwap(m, n); m = p.peak.Load() {
+	}
 	mode, delay := p.take()
 	switch mode {
 	case "drop":
@@ -368,4 +375,35 @@ func TestFaultUnavailable(t *testing.T) {
 		p.arm("ok", 0, 0)
 	}
 	fc.queryBoth(t, "after full recovery")
+}
+
+// TestFaultJoinFanOutBounded: a cluster join executes its polygons through a
+// fixed worker pool, so a slow peer sees at most 16 of one join's
+// partial requests at once, not one per polygon; and a primary that
+// answers never starts a request to the replica behind it.
+func TestFaultJoinFanOutBounded(t *testing.T) {
+	fc := startFaultCluster(t, 3000, func(c *cluster.Config) { c.Retries = -1 })
+	for _, p := range fc.proxies {
+		p.arm("delay", -1, 20*time.Millisecond)
+	}
+	rng := rand.New(rand.NewSource(5))
+	polys := make([]*geom.Polygon, 100)
+	for i := range polys {
+		c := geom.Pt(10+rng.Float64()*80, 10+rng.Float64()*80)
+		polys[i] = geoblocks.RegularPolygon(c, 2+rng.Float64()*8, 3+rng.Intn(6))
+	}
+	if _, _, err := fc.co.Join(context.Background(), "taxi", polys, geoblocks.QueryOptions{}, testReqs); err != nil {
+		t.Fatalf("cluster join: %v", err)
+	}
+	for i, p := range fc.proxies {
+		if peak := p.peak.Load(); peak == 0 || peak > 16 {
+			t.Errorf("proxy %d: %d partial requests in flight at once, want 1..16", i, peak)
+		}
+	}
+	// Every primary answered, so no replica behind it was ever started.
+	for _, ps := range fc.co.Stats().Peers {
+		if ps.Requests != ps.Successes {
+			t.Errorf("peer %s: %d requests for %d answers", ps.Name, ps.Requests, ps.Successes)
+		}
+	}
 }

@@ -27,8 +27,10 @@ package cover
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"geoblocks/internal/cellid"
 	"geoblocks/internal/geom"
@@ -455,16 +457,33 @@ type SharedCovering struct {
 }
 
 // CoverShared covers every region with Cover, so each covering is exactly
-// the one a single-region query gets.
+// the one a single-region query gets. Distinct regions are covered in
+// parallel: min(GOMAXPROCS, len(regions)) workers, the caller's goroutine
+// among them, claim regions in turn and write positional slots, so the
+// result does not depend on the schedule.
 func (c *Coverer) CoverShared(regions []Region) *SharedCovering {
 	sc := &SharedCovering{
 		Covers: make([]*Covering, len(regions)),
 		Bounds: make([]float64, len(regions)),
 	}
-	for i, rg := range regions {
-		cov := c.Cover(rg)
-		sc.Covers[i] = cov
-		sc.Bounds[i] = c.GuaranteedErrorDistance(cov)
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < len(regions); i = int(next.Add(1)) - 1 {
+			sc.Covers[i] = c.Cover(regions[i])
+			sc.Bounds[i] = c.GuaranteedErrorDistance(sc.Covers[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(regions)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, cov := range sc.Covers {
 		for _, in := range cov.Interior {
 			if in {
 				sc.InteriorPairs++

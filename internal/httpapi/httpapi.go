@@ -260,8 +260,8 @@ type queryRequest struct {
 	Polygon [][2]float64 `json:"polygon,omitempty"`
 	// Rect is [minX, minY, maxX, maxY].
 	Rect *[4]float64 `json:"rect,omitempty"`
-	// Polygons is the batch form: one ring per query, answered with one
-	// shared covering pass.
+	// Polygons is the batch form: one ring per query, answered as a
+	// join without its stats.
 	Polygons [][][2]float64 `json:"polygons,omitempty"`
 	Aggs     []aggJSON      `json:"aggs"`
 	// MaxError is the acceptable spatial error bound in domain units; the

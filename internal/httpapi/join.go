@@ -31,9 +31,8 @@ type joinRequest struct {
 	// MaxError plans the shared pyramid level for every region (0 =
 	// exact), exactly as for /v1/query.
 	MaxError float64 `json:"max_error,omitempty"`
-	// NoCache bypasses the result cache. Joins never probe the per-shard
-	// query caches: their per-shard SELECT runs with the query cache
-	// disabled either way.
+	// NoCache bypasses the result cache and the per-shard query caches,
+	// exactly as for /v1/query.
 	NoCache bool `json:"no_cache,omitempty"`
 }
 

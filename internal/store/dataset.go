@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -216,8 +215,9 @@ type Dataset struct {
 	compactedRows     atomic.Uint64
 	lastCompactMicros atomic.Int64
 
-	// Join counters (join.go): cumulative over every Join/JoinRects/
-	// PlanJoin call, surfaced in DatasetStats and at /metrics.
+	// Join counters (join.go): cumulative over every successful Join,
+	// JoinRects and cluster join (NoteJoin), surfaced in DatasetStats and
+	// at /metrics. Batches are not counted here.
 	joins           atomic.Uint64
 	joinPolygons    atomic.Uint64
 	joinInterior    atomic.Uint64
@@ -519,7 +519,7 @@ func (d *Dataset) queryRegion(opts geoblocks.QueryOptions, reqs []geoblocks.AggR
 		cov := coverFn(c)
 		cells, bound = cov.Cells, c.GuaranteedErrorDistance(cov)
 	}
-	res, err := d.queryCovering(cells, lvl, opts, reqs, true)
+	res, err := d.queryCovering(cells, lvl, opts, reqs)
 	if err != nil {
 		return geoblocks.Result{}, err
 	}
@@ -568,7 +568,7 @@ func (d *Dataset) QueryCovering(cov []cellid.ID, reqs ...geoblocks.AggRequest) (
 	d.queries.Add(1)
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	res, err := d.queryCovering(cov, d.opts.Level, geoblocks.QueryOptions{}, reqs, true)
+	res, err := d.queryCovering(cov, d.opts.Level, geoblocks.QueryOptions{}, reqs)
 	if err != nil {
 		return geoblocks.Result{}, err
 	}
@@ -671,7 +671,7 @@ func blockPartial(sh *shard, blk *geoblocks.GeoBlock, sub []cellid.ID, lvl int, 
 // unless the options disable it). On a mapped dataset each involved
 // shard is pinned for its scan — cold shards fault in here, concurrently
 // for multi-shard queries.
-func (d *Dataset) queryCovering(cov []cellid.ID, lvl int, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest, parallel bool) (geoblocks.Result, error) {
+func (d *Dataset) queryCovering(cov []cellid.ID, lvl int, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) (geoblocks.Result, error) {
 	parts := d.route(cov)
 	switch len(parts) {
 	case 0:
@@ -693,21 +693,15 @@ func (d *Dataset) queryCovering(cov []cellid.ID, lvl int, opts geoblocks.QueryOp
 
 	accs := make([]*geoblocks.Accumulator, len(parts))
 	errs := make([]error, len(parts))
-	if parallel {
-		var wg sync.WaitGroup
-		for i := range parts {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				accs[i], errs[i] = shardPartial(parts[i].shard, parts[i].sub, lvl, opts, reqs)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range parts {
+	var wg sync.WaitGroup
+	for i := range parts {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
 			accs[i], errs[i] = shardPartial(parts[i].shard, parts[i].sub, lvl, opts, reqs)
-		}
+		}(i)
 	}
+	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return geoblocks.Result{}, err
@@ -722,129 +716,6 @@ func (d *Dataset) queryCovering(cov []cellid.ID, lvl int, opts geoblocks.QueryOp
 		}
 	}
 	return total.Result(), nil
-}
-
-// QueryBatch answers one SELECT query per polygon, sharing the covering
-// machinery: coverings are computed once up front, then the polygons are
-// answered concurrently (each batch element routes across shards
-// serially, so the fan-out stays one goroutine per in-flight polygon).
-// Results are positionally aligned with polys.
-func (d *Dataset) QueryBatch(polys []*geom.Polygon, reqs ...geoblocks.AggRequest) ([]geoblocks.Result, error) {
-	return d.QueryBatchOpts(polys, geoblocks.QueryOptions{}, reqs...)
-}
-
-// QueryBatchOpts is QueryBatch through the query planner: the pyramid
-// level is planned once for the whole batch, every covering is computed
-// at it, and each result reports the achieved level plus its own
-// covering's guaranteed error bound.
-func (d *Dataset) QueryBatchOpts(polys []*geom.Polygon, opts geoblocks.QueryOptions, reqs ...geoblocks.AggRequest) ([]geoblocks.Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	d.queries.Add(uint64(len(polys)))
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	lvl := d.PlanLevel(opts.MaxError)
-	c := d.covererAt(lvl)
-
-	if d.results == nil || opts.DisableCache {
-		covs := make([][]cellid.ID, len(polys))
-		bounds := make([]float64, len(polys))
-		for i, p := range polys {
-			cov := c.Cover(p)
-			covs[i] = cov.Cells
-			bounds[i] = c.GuaranteedErrorDistance(cov)
-		}
-		results, err := d.queryBatchCoverings(covs, lvl, opts, reqs)
-		if err != nil {
-			return nil, err
-		}
-		for i := range results {
-			results[i].Level = lvl
-			results[i].ErrorBound = bounds[i]
-		}
-		return results, nil
-	}
-
-	// Result-cached batch: resolve every element against the cache first
-	// (hits and memoized coverings both count), then run only the misses
-	// through the batch executor. The batch and single-query paths share
-	// the in-shard kernel and the shard-order merge, so results
-	// cached by one are bit-identical to recomputation by the other.
-	tag := aggsTag(reqs)
-	gen := d.results.Generation()
-	results := make([]geoblocks.Result, len(polys))
-	keys := make([]resultcache.Key, len(polys))
-	missIdx := make([]int, 0, len(polys))
-	covs := make([][]cellid.ID, 0, len(polys))
-	bounds := make([]float64, 0, len(polys))
-	for i, p := range polys {
-		keys[i] = resultcache.PolygonKey(p, lvl, opts.MaxError, tag)
-		res, cells, bound, outcome := d.results.Lookup(keys[i], gen)
-		switch outcome {
-		case resultcache.Hit:
-			results[i] = res
-			continue
-		case resultcache.Miss:
-			cov := c.Cover(p)
-			cells = cov.Cells
-			bound = c.GuaranteedErrorDistance(cov)
-		}
-		missIdx = append(missIdx, i)
-		covs = append(covs, cells)
-		bounds = append(bounds, bound)
-	}
-	if len(missIdx) == 0 {
-		return results, nil
-	}
-	missRes, err := d.queryBatchCoverings(covs, lvl, opts, reqs)
-	if err != nil {
-		return nil, err
-	}
-	for j, i := range missIdx {
-		missRes[j].Level = lvl
-		missRes[j].ErrorBound = bounds[j]
-		results[i] = missRes[j]
-		d.results.Store(keys[i], covs[j], bounds[j], missRes[j], gen)
-	}
-	return results, nil
-}
-
-func (d *Dataset) queryBatchCoverings(covs [][]cellid.ID, lvl int, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) ([]geoblocks.Result, error) {
-	results := make([]geoblocks.Result, len(covs))
-	errs := make([]error, len(covs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(covs) {
-		workers = len(covs)
-	}
-	if workers <= 1 {
-		for i, cov := range covs {
-			results[i], errs[i] = d.queryCovering(cov, lvl, opts, reqs, false)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(covs) {
-						return
-					}
-					results[i], errs[i] = d.queryCovering(covs[i], lvl, opts, reqs, false)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
 }
 
 // Snapshot writes a durable snapshot of the dataset to dir: a manifest
@@ -1341,7 +1212,7 @@ type DatasetStats struct {
 	// only, nil in summaries and without a result cache).
 	HotFootprints []resultcache.FootprintStat `json:"hot_footprints,omitempty"`
 	// Join holds the join operator's cumulative counters, nil until the
-	// first Join/JoinRects/PlanJoin call.
+	// first successful Join, JoinRects or cluster join.
 	Join   *JoinCounters `json:"join,omitempty"`
 	Shards []ShardStats  `json:"shards,omitempty"`
 }

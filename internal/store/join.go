@@ -12,17 +12,19 @@ import (
 )
 
 // This file is the approximate geospatial join operator: K polygons,
-// per-polygon aggregates, one request. The plan is shared — one pyramid
-// level for the whole join, each distinct polygon covered once by the
+// per-polygon aggregates, one request. It is the store's one
+// multi-region executor — a batch (QueryBatchOpts) is a join whose
+// stats are dropped. The plan is shared — one pyramid level for the
+// whole join, each distinct polygon covered once, in parallel, by the
 // same Cover a single query uses (cover.CoverShared) — and the execution
 // is the single query's: each involved shard is pinned once, every
 // polygon routed to it runs the same per-shard partial a Query runs
-// (blockPartial: base, then delta), and per-polygon partials merge in
-// ascending shard order, exactly the sequential Query path's merge tree.
-// Answers are therefore bit-identical to N sequential Query calls for
-// COUNT/MIN/MAX (and on the uncached path for SUM too); SUM stays within
-// the documented reassociation bound whenever any path involved
-// re-associates (block caches, the shard merge). join_test.go pins the
+// (blockPartial: base, then delta) with the same options, so the
+// per-shard query caches serve a join as they serve a query unless
+// DisableCache is set; per-polygon partials merge in ascending shard
+// order, exactly the sequential Query path's merge tree. Answers are
+// therefore bit-identical to N sequential QueryOpts calls with the same
+// options and cache state, SUM included. join_test.go pins the
 // equivalence with a randomized property suite.
 
 // JoinStats describes one join call: the shared plan's shape and how
@@ -62,16 +64,45 @@ func (s JoinStats) InteriorFraction() float64 {
 }
 
 // Join answers one aggregate query per polygon in one call: plan once,
-// cover each distinct polygon, run each polygon's per-shard partials
-// through the single-query kernel, merge them in shard order.
+// cover each distinct polygon in parallel, run each polygon's per-shard
+// partials through the single-query kernel, merge them in shard order.
 // Results align positionally with polys. opts.MaxError plans the shared
-// level and opts.DisableCache bypasses the result cache.
+// level; opts.DisableCache bypasses the result cache and the per-shard
+// query caches, exactly as on a query. A successful call is folded into
+// the dataset's join counters.
 func (d *Dataset) Join(polys []*geom.Polygon, opts geoblocks.QueryOptions, reqs ...geoblocks.AggRequest) ([]geoblocks.Result, JoinStats, error) {
-	// Deduplicate repeated polygons by exact ring content: each distinct
-	// geometry is planned, covered and aggregated once, and its result is
-	// replicated to every occurrence — identical to querying each
-	// occurrence independently, because the whole pipeline is
-	// deterministic in the polygon's content.
+	res, stats, err := d.polygonJoin(polys, opts, reqs)
+	if err == nil {
+		d.NoteJoin(stats)
+	}
+	return res, stats, err
+}
+
+// QueryBatch answers one SELECT query per polygon: QueryBatchOpts with
+// zero options.
+func (d *Dataset) QueryBatch(polys []*geom.Polygon, reqs ...geoblocks.AggRequest) ([]geoblocks.Result, error) {
+	return d.QueryBatchOpts(polys, geoblocks.QueryOptions{}, reqs...)
+}
+
+// QueryBatchOpts answers one query per polygon through the join's
+// executor without its stats: repeated polygons are answered once, the
+// rest are covered in parallel at one planned level and run the
+// single-query partial shard by shard. Each result is bit-identical to
+// QueryOpts on that polygon alone and reports the achieved level plus
+// its own covering's guaranteed error bound. Results align positionally
+// with polys; the join counters are left alone.
+func (d *Dataset) QueryBatchOpts(polys []*geom.Polygon, opts geoblocks.QueryOptions, reqs ...geoblocks.AggRequest) ([]geoblocks.Result, error) {
+	res, _, err := d.polygonJoin(polys, opts, reqs)
+	return res, err
+}
+
+// polygonJoin is the polygon path behind Join and QueryBatchOpts.
+// Repeated polygons are deduplicated by exact ring content: each
+// distinct geometry is planned, covered and aggregated once, and its
+// result is replicated to every occurrence — identical to querying each
+// occurrence independently, because the whole pipeline is deterministic
+// in the polygon's content.
+func (d *Dataset) polygonJoin(polys []*geom.Polygon, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) ([]geoblocks.Result, JoinStats, error) {
 	uniq := make([]*geom.Polygon, 0, len(polys))
 	back := make([]int, len(polys))
 	seen := make(map[string]int, len(polys))
@@ -137,16 +168,22 @@ func (d *Dataset) JoinRects(rects []geom.Rect, opts geoblocks.QueryOptions, reqs
 	for i, r := range rects {
 		regions[i] = cover.RectRegion(r)
 	}
-	return d.join(regions, len(rects), opts, reqs, func(i, lvl int, tag string) resultcache.Key {
+	res, stats, err := d.join(regions, len(rects), opts, reqs, func(i, lvl int, tag string) resultcache.Key {
 		return resultcache.RectKey(rects[i], lvl, opts.MaxError, tag)
 	})
+	if err == nil {
+		d.NoteJoin(stats)
+	}
+	return res, stats, err
 }
 
-// PlanJoin plans a join for the cluster coordinator: one shared pyramid
-// level, one covering per polygon, one Plan per polygon. Every
-// replica holding the same build derives the identical plans, so a
-// coordinator can scatter each polygon's sub-coverings through the
-// existing partial wire and inherit the single-node merge contract.
+// PlanJoin plans a join or a batch for the cluster coordinator: one
+// shared pyramid level, one covering per polygon (covered in parallel by
+// cover.CoverShared), one Plan per polygon. Every replica holding the
+// same build derives the identical plans, so a coordinator can scatter
+// each polygon's sub-coverings through the existing partial wire and
+// inherit the single-node merge contract. PlanJoin counts nothing: the
+// coordinator calls NoteJoin once a join succeeds.
 func (d *Dataset) PlanJoin(polys []*geom.Polygon, maxError float64) ([]Plan, JoinStats) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -168,13 +205,14 @@ func (d *Dataset) PlanJoin(polys []*geom.Polygon, maxError float64) ([]Plan, Joi
 		InteriorPairs:  sc.InteriorPairs,
 		BoundaryPairs:  sc.BoundaryPairs,
 	}
-	d.noteJoin(stats)
 	return plans, stats
 }
 
-// noteJoin folds one join's stats into the dataset's cumulative
-// counters.
-func (d *Dataset) noteJoin(s JoinStats) {
+// NoteJoin folds one join's stats into the dataset's cumulative
+// counters — called by Join and JoinRects, and by the cluster
+// coordinator, whose joins bypass those entry points. Batches are not
+// counted.
+func (d *Dataset) NoteJoin(s JoinStats) {
 	d.joins.Add(1)
 	d.joinPolygons.Add(uint64(s.Polygons))
 	d.joinInterior.Add(uint64(s.InteriorPairs))
@@ -232,8 +270,8 @@ func (d *Dataset) join(regions []cover.Region, total int, opts geoblocks.QueryOp
 		}
 	}
 
-	// Cover every polygon that still needs a covering, with the Cover a
-	// single query uses, so cached and fresh coverings are
+	// Cover every polygon that still needs a covering, in parallel, with
+	// the Cover a single query uses, so cached and fresh coverings are
 	// interchangeable.
 	if len(toCover) > 0 {
 		c := d.covererAt(lvl)
@@ -249,12 +287,11 @@ func (d *Dataset) join(regions []cover.Region, total int, opts geoblocks.QueryOp
 		}
 	}
 
-	// Shard fan-out: walk the shards in ascending cell order once,
-	// pinning each involved shard once for all of its polygons; each
-	// routed polygon runs blockPartial, the single-query partial (base,
-	// then delta). Accumulating in shard order as we go reproduces the
-	// sequential query's merge tree exactly.
-	joinOpts := geoblocks.QueryOptions{DisableCache: true}
+	// Shard walk: visit the shards in ascending cell order once, pinning
+	// each involved shard once for all of its polygons; each routed
+	// polygon runs blockPartial, the single-query partial (base, then
+	// delta), with the request's options. Accumulating in shard order as
+	// we go reproduces the sequential query's merge tree exactly.
 	totals := make([]*geoblocks.Accumulator, len(regions))
 	for si := range d.shards {
 		sh := &d.shards[si]
@@ -274,7 +311,7 @@ func (d *Dataset) join(regions []cover.Region, total int, opts geoblocks.QueryOp
 					return nil, stats, err
 				}
 			}
-			acc, err := blockPartial(sh, blk, sub, lvl, joinOpts, reqs)
+			acc, err := blockPartial(sh, blk, sub, lvl, opts, reqs)
 			if err == nil && totals[i] != nil {
 				err = totals[i].MergeFrom(acc)
 			}
@@ -315,6 +352,5 @@ func (d *Dataset) join(regions []cover.Region, total int, opts geoblocks.QueryOp
 			d.results.Store(keys[i], covs[i], bounds[i], res, gen)
 		}
 	}
-	d.noteJoin(stats)
 	return results, stats, nil
 }

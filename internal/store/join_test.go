@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -26,8 +27,8 @@ func joinPolys(rng *rand.Rand, n int) []*geom.Polygon {
 
 // assertBitIdentical demands full bitwise equality — Count, every
 // value's float bits (SUM included), Level and ErrorBound. Valid when
-// both sides ran serial kernels over aggtrie-free shards, which is
-// exactly the join's single-node contract.
+// both sides ran the same per-shard partials under the same options and
+// query-cache state, which is exactly the join's single-node contract.
 func assertBitIdentical(t *testing.T, label string, got, want geoblocks.Result) {
 	t.Helper()
 	if got.Count != want.Count {
@@ -433,5 +434,89 @@ func TestBatchAndJoinCacheCountedPerElement(t *testing.T) {
 	}
 	if jstats.CacheHits != 0 || jstats.CacheMisses != 0 {
 		t.Fatalf("DisableCache join recorded cache traffic: %+v", jstats)
+	}
+}
+
+// TestJoinMatchesWarmCacheQueries pins the join to the query path once
+// the per-shard query caches hold aggregates: a join partial is a query
+// partial with the request's options, so it probes the same cached cells
+// and re-associates SUM exactly as QueryOpts does. fval sums are not
+// integer-exact, so a join that skipped the cache would differ in bits.
+func TestJoinMatchesWarmCacheQueries(t *testing.T) {
+	d := buildDataset(t, "joinwarm", 20_000, 7, Options{Level: 12, ShardLevel: 2, PyramidLevels: 4, CacheThreshold: 0.25})
+	polys := joinPolys(rand.New(rand.NewSource(41)), 60)
+	reqs := []geoblocks.AggRequest{geoblocks.Count(), geoblocks.Sum("fval"), geoblocks.Min("fval"), geoblocks.Max("ival")}
+	maxErrs := []float64{0, 0.2}
+	for _, maxErr := range maxErrs {
+		for i, poly := range polys {
+			if _, err := d.QueryOpts(poly, geoblocks.QueryOptions{MaxError: maxErr}, reqs...); err != nil {
+				t.Fatalf("warm-up query %d: %v", i, err)
+			}
+		}
+	}
+	d.RefreshCaches()
+	for _, maxErr := range maxErrs {
+		opts := geoblocks.QueryOptions{MaxError: maxErr}
+		got, _, err := d.Join(polys, opts, reqs...)
+		if err != nil {
+			t.Fatalf("join (max_error %v): %v", maxErr, err)
+		}
+		for i, poly := range polys {
+			want, err := d.QueryOpts(poly, opts, reqs...)
+			if err != nil {
+				t.Fatalf("sequential query %d: %v", i, err)
+			}
+			assertBitIdentical(t, fmt.Sprintf("warm join max_error %v poly %d", maxErr, i), got[i], want)
+		}
+	}
+	if cs := d.Stats().Cache; cs.FullHits+cs.PartialHits == 0 {
+		t.Fatal("the query caches served nothing; the test does not exercise them")
+	}
+}
+
+// TestBatchDedupsRepeatedPolygons: a batch is a join without its stats,
+// so repeated polygons — the same object or content-equal clones — are
+// answered once. Results stay positionally equal to sequential queries,
+// the result cache sees one miss per unique polygon, and the join
+// counters are left alone.
+func TestBatchDedupsRepeatedPolygons(t *testing.T) {
+	opts := Options{Level: 11, ShardLevel: 2, PyramidLevels: 3}
+	d := buildDataset(t, "batchdup", 10_000, 61, opts)
+	if err := d.EnableResultCache(1<<20, 0); err != nil {
+		t.Fatalf("enable result cache: %v", err)
+	}
+	control := buildDataset(t, "batchdupctl", 10_000, 61, opts)
+	base := joinPolys(rand.New(rand.NewSource(67)), 15)
+	var polys []*geom.Polygon
+	for i, p := range base {
+		polys = append(polys, p, geom.NewPolygon(append([]geom.Point(nil), p.Outer()...)))
+		if i%2 == 0 {
+			polys = append(polys, p)
+		}
+	}
+	rand.New(rand.NewSource(71)).Shuffle(len(polys), func(i, j int) { polys[i], polys[j] = polys[j], polys[i] })
+
+	qo := geoblocks.QueryOptions{MaxError: 0.2}
+	got, err := d.QueryBatchOpts(polys, qo, testReqs...)
+	if err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	if len(got) != len(polys) {
+		t.Fatalf("batch returned %d results for %d polygons", len(got), len(polys))
+	}
+	st := d.Stats()
+	if st.ResultCache.Misses != uint64(len(base)) || st.ResultCache.Hits != 0 {
+		t.Fatalf("batch of %d polygons (%d unique): %d misses, %d hits, want %d/0",
+			len(polys), len(base), st.ResultCache.Misses, st.ResultCache.Hits, len(base))
+	}
+	if st.Join != nil {
+		t.Fatalf("a batch moved the join counters: %+v", st.Join)
+	}
+	for i, poly := range polys {
+		want, err := control.QueryOpts(poly, qo, testReqs...)
+		if err != nil {
+			t.Fatalf("sequential query %d: %v", i, err)
+		}
+		assertBitIdentical(t, fmt.Sprintf("batch element %d", i), got[i], want)
 	}
 }
