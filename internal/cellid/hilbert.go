@@ -94,20 +94,30 @@ func NewCursor(id ID) Cursor {
 
 // Children returns the cursors of c's four children in Hilbert order, as
 // ID.Children orders them. It must not be called on a leaf cell.
-func (c Cursor) Children() [4]Cursor {
+func (c Cursor) Children() (out [4]Cursor) {
 	ids := c.ID.Children()
-	var out [4]Cursor
+	q := &childQuad[c.Orient]
 	for k := range out {
-		// posToIJ's quadrant of digit k, then the parent's orientation.
-		rx := uint32(k >> 1)
-		ry := uint32(k^int(rx)) & 1
-		if c.Orient&1 != 0 {
-			rx, ry = ry, rx
-		}
-		if c.Orient&2 != 0 {
-			rx, ry = rx^1, ry^1
-		}
-		out[k] = Cursor{ID: ids[k], I: c.I<<1 | rx, J: c.J<<1 | ry, Orient: c.Orient ^ digitOrient[k]}
+		out[k] = Cursor{ID: ids[k], I: c.I<<1 | uint32(q[k]&1), J: c.J<<1 | uint32(q[k]>>1), Orient: c.Orient ^ digitOrient[k]}
 	}
 	return out
 }
+
+// childQuad[o][k] is the quadrant of digit k's child under orientation o,
+// rx | ry<<1: posToIJ's quadrant of the digit, then the orientation.
+var childQuad = func() (t [4][4]uint8) {
+	for o := range t {
+		for k := range t[o] {
+			rx := uint8(k >> 1)
+			ry := uint8(k^int(rx)) & 1
+			if o&1 != 0 {
+				rx, ry = ry, rx
+			}
+			if o&2 != 0 {
+				rx, ry = rx^1, ry^1
+			}
+			t[o][k] = rx | ry<<1
+		}
+	}
+	return t
+}()

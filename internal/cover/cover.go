@@ -12,17 +12,29 @@
 //
 // Like S2 over its shape index, the walk classifies a polygon cell against
 // the ring edges that touch it, not the whole ring: a cell is a boundary
-// cell iff one of its parent's edges meets it, those edges become its
-// children's list, and only a cell that no edge meets pays one
-// point-in-polygon test to tell interior from exterior (classifier, below).
+// cell iff one of its parent's edges meets it, and those edges become its
+// children's list. A cell that no edge meets is interior or exterior as a
+// point carried down the walk is: the corner it shares with its siblings,
+// whose inside/outside bits follow from the parent's corner by counting
+// edge crossings (S2's "contains centre" bit). In the level-order walk a
+// point-in-polygon test over every edge is left only where the carried
+// bits cannot decide: the start cell's centre, a centre whose crossing
+// count meets a zero sign, and the centre of every subdivided cell of a
+// polygon with more rings than a ring mask holds, which asks
+// ContainsPoint. The MinLevel seed (seedAtLevel), which runs when the
+// enclosing cell is coarser than MinLevel, tests every seed cell no edge
+// meets over all edges (classifier, below). Every sign is exact
+// (geom.OrientSign), so a cell the covering calls interior or disjoint
+// is interior or disjoint: the error bound of paper Sec. 3.2 holds
+// without a rounding caveat.
 //
-// The walk is level order and never decodes a Hilbert id: each frontier
+// The walk is level order and never decodes a Hilbert id: each subdivided
 // cell carries its grid coordinates and curve orientation
-// (cellid.Cursor), from which its rectangle and its children follow
-// directly. Every level emits one ascending run of cells, so the covering
-// is sorted by merging those runs, not by a comparison sort. The walk's
-// scratch slices come from a pool and only the returned Covering is
-// allocated.
+// (cellid.Cursor), from which its children follow directly, and its
+// rectangle and centre, whose coordinates are its children's. Every level
+// emits one ascending run of cells, so the covering is sorted by merging
+// those runs, not by a comparison sort. The walk's scratch slices come
+// from a pool and only the returned Covering is allocated.
 package cover
 
 import (
@@ -47,24 +59,56 @@ type Region interface {
 }
 
 // edge is one ring edge of a polygon region, a→b in ring order, with its
-// bounding box.
+// bounding box and its ring's bit in a ring mask (0 in a polygon with more
+// rings than a mask holds).
 type edge struct {
 	a, b geom.Point
 	bb   geom.Rect
+	bit  uint32
 }
+
+// A ring mask holds one bit per ring of a point's position: bit 0 is set
+// when the point is inside the outer ring, bit h when it is inside hole
+// h, each by the even-odd rule. The point is inside the polygon when the
+// mask is exactly insideMask — inside the outer ring and no hole, which is
+// ContainsPoint's rule; one even-odd bit over all rings is not, as holes
+// need not lie inside the outer ring or apart from each other. A polygon
+// with more rings than maskRings carries canonical masks instead, 0 or
+// insideMask from ContainsPoint. unknownMask, never a ring mask, marks a
+// cell whose parent's centre was not computed.
+const (
+	maskRings   = 31
+	insideMask  = uint32(1)
+	unknownMask = uint32(1) << maskRings
+)
 
 // classifier classifies the cells of one region's covering walk. For a
 // polygon it applies geom.Polygon.ClassifyRect's two steps — some ring
-// edge meets the cell ? RectIntersects : the cell's Min corner decides
-// RectContains or RectDisjoint — to an edge list per cell. A cell's list
-// holds every edge that can meet it: a child's rectangle lies inside its
-// parent's, so the edges that met the parent are the child's list. Lists
-// are indices into edges, kept in backing arrays the walk owns. Any other
-// region classifies through its own ClassifyRect and leaves lists empty.
+// edge meets the cell ? RectIntersects : the cell lies wholly inside or
+// wholly outside — to an edge list per cell. A cell's list holds every
+// edge that can meet it: a child's rectangle lies inside its parent's, so
+// the edges that met the parent are the child's list. Lists are indices
+// into edges, kept in backing arrays the walk owns.
+//
+// In the level-order walk the second step mostly costs no ring walk. A
+// cell's four children share one corner, their parent's centre, and the
+// walk keeps that corner's ring mask with the parent (group, below). A
+// cell no edge meets lies on the side of the polygon that corner does.
+// When a cell subdivides, its own centre's mask follows from the carried one by
+// counting the proper crossings of the segment from the corner to the
+// centre with the cell's edge list: the segment lies in the closed cell,
+// so no other edge can cross it. Every sign is exact (geom.OrientSign).
+// The ring walk over all edges (maskAt) remains for a zero sign, a point
+// on that segment's line; for the start cell, which has no carried
+// corner; for every centre of a polygon with more rings than maskRings,
+// whose masks come from ContainsPoint; and for each edge-free cell of the
+// MinLevel seed, which carries no mask (unknownMask). Any other region
+// classifies through its own ClassifyRect and leaves lists empty.
 type classifier struct {
 	region Region
 	poly   *geom.Polygon // nil for non-polygon regions
 	edges  []edge
+	direct bool // more rings than maskRings: masks come from ContainsPoint
 }
 
 // newClassifier builds region's classifier, appending its edges to buf.
@@ -75,24 +119,29 @@ func newClassifier(region Region, buf []edge) classifier {
 		return k
 	}
 	k.poly = p
+	k.direct = 1+len(p.Holes()) > maskRings
 	n := len(p.Outer())
 	for _, h := range p.Holes() {
 		n += len(h)
 	}
 	k.edges = slices.Grow(k.edges, n)
-	k.addRing(p.Outer())
-	for _, h := range p.Holes() {
-		k.addRing(h)
+	k.addRing(p.Outer(), 0)
+	for i, h := range p.Holes() {
+		k.addRing(h, i+1)
 	}
 	return k
 }
 
 // addRing appends ring's edges in the order geom's ring walks use, closing
 // edge first.
-func (k *classifier) addRing(ring []geom.Point) {
+func (k *classifier) addRing(ring []geom.Point, r int) {
+	var bit uint32
+	if !k.direct {
+		bit = 1 << r
+	}
 	a := ring[len(ring)-1]
 	for _, b := range ring {
-		k.edges = append(k.edges, edge{a: a, b: b, bb: geom.RectFromPoints(a, b)})
+		k.edges = append(k.edges, edge{a: a, b: b, bb: geom.RectFromPoints(a, b), bit: bit})
 		a = b
 	}
 }
@@ -108,8 +157,9 @@ func (k *classifier) appendAll(buf []int32) []int32 {
 
 // classify returns rect's relation to the region. It tests only the edges
 // in list, which must include every edge that meets rect, and appends the
-// ones that do meet it to *out: the list of rect's children.
-func (k *classifier) classify(rect geom.Rect, list []int32, out *[]int32) geom.RectRelation {
+// ones that do meet it to *out: the list of rect's children. in is the
+// ring mask of a corner of rect, or unknownMask.
+func (k *classifier) classify(rect geom.Rect, list []int32, out *[]int32, in uint32) geom.RectRelation {
 	if k.poly == nil {
 		return k.region.ClassifyRect(rect)
 	}
@@ -121,14 +171,87 @@ func (k *classifier) classify(rect geom.Rect, list []int32, out *[]int32) geom.R
 			*out = append(*out, e)
 		}
 	}
-	switch {
-	case len(*out) > n:
+	if len(*out) > n {
 		return geom.RectIntersects
-	case k.poly.ContainsPoint(rect.Min):
-		return geom.RectContains
-	default:
-		return geom.RectDisjoint
 	}
+	// No edge meets rect, so no point of it is on the boundary and any
+	// point decides.
+	if in == unknownMask {
+		in = k.maskAt(rect.Min)
+	}
+	if in == insideMask {
+		return geom.RectContains
+	}
+	return geom.RectDisjoint
+}
+
+// centreMask returns the ring mask of m, the centre of the closed cell
+// rect, given in, the mask of p, a corner of rect. Exactly the edges in
+// list meet rect. If p is on the boundary, in means nothing, but then an
+// edge through p is in list and a sign below is zero.
+func (k *classifier) centreMask(p, m geom.Point, rect geom.Rect, in uint32, list []int32) uint32 {
+	if in == unknownMask || k.direct {
+		return k.maskAt(m)
+	}
+	lo, hi := p, m
+	if lo.X > hi.X {
+		lo.X, hi.X = hi.X, lo.X
+	}
+	if lo.Y > hi.Y {
+		lo.Y, hi.Y = hi.Y, lo.Y
+	}
+	for _, e := range list {
+		ed := &k.edges[e]
+		if ed.bb.Max.X < lo.X || ed.bb.Min.X > hi.X || ed.bb.Max.Y < lo.Y || ed.bb.Min.Y > hi.Y {
+			continue
+		}
+		// An edge that meets the cell usually runs well past it, so the
+		// ends of pm falling on one side of its line rejects it first.
+		sp, sm := geom.OrientSign(ed.a, ed.b, p), geom.OrientSign(ed.a, ed.b, m)
+		if sp == 0 || sm == 0 {
+			return k.maskAt(m)
+		}
+		if sp == sm {
+			continue
+		}
+		// With both ends outside the cell the edge is a chord of it, so
+		// p and m on either side of its line are on either side of it.
+		if !rect.ContainsPoint(ed.a) && !rect.ContainsPoint(ed.b) {
+			in ^= ed.bit
+			continue
+		}
+		sa, sb := geom.OrientSign(p, m, ed.a), geom.OrientSign(p, m, ed.b)
+		if sa == 0 || sb == 0 {
+			return k.maskAt(m)
+		}
+		if sa != sb {
+			in ^= ed.bit
+		}
+	}
+	return in
+}
+
+// maskAt returns pt's ring mask from every edge: geom.Polygon.ContainsPoint's
+// half-open crossing rule per ring. For a point on the boundary the mask
+// means nothing; no caller decides a cell by one.
+func (k *classifier) maskAt(pt geom.Point) uint32 {
+	if k.direct {
+		if k.poly.ContainsPoint(pt) {
+			return insideMask
+		}
+		return 0
+	}
+	var in uint32
+	for i := range k.edges {
+		e := &k.edges[i]
+		if (e.a.Y > pt.Y) == (e.b.Y > pt.Y) {
+			continue
+		}
+		if s := geom.OrientSign(e.a, e.b, pt); s != 0 && (s > 0) == (e.b.Y > e.a.Y) {
+			in ^= e.bit
+		}
+	}
+	return in
 }
 
 // rectRegion adapts geom.Rect to Region so rectangular queries (paper
@@ -252,38 +375,60 @@ func (c *Coverer) Cover(region Region) *Covering {
 	}
 
 	w := walkPool.Get().(*walk)
-	k := newClassifier(region, w.edges[:0])
+	w.c, w.k = c, newClassifier(region, w.k.edges[:0])
 	start := c.enclosingCell(bb)
 	if start.Level() < c.opts.MinLevel {
 		// Seed with all MinLevel descendants that intersect the region
 		// instead of one giant cell, so MinLevel is respected.
-		c.seedAtLevel(&k, start, c.opts.MinLevel, w)
+		w.seedAtLevel(start, c.opts.MinLevel)
 	} else {
-		c.walkLevels(&k, start, w)
+		w.walkLevels(start)
 	}
-	w.edges = k.edges
 	cov := w.covering()
 	w.release()
 	return cov
 }
 
-// walk is the scratch of one Cover call: the classifier's edges, the
-// level-order walk's frontier and edge-list arrays, the emitted cells with
-// the bounds of their ascending runs, and the merge buffer. Cover takes it
-// from walkPool and copies the result out before putting it back, so no
-// pooled memory escapes into a Covering.
+// walk is one Cover call: the coverer and the region's classifier, and
+// the scratch — the classifier's edges, the level-order walk's frontier
+// and edge-list arrays, the emitted cells with the bounds of their
+// ascending runs, and the merge buffer. Cover takes it from walkPool and
+// copies the result out before putting it back, so no pooled memory
+// escapes into a Covering.
 type walk struct {
-	edges            []edge
-	frontier, next   []cell
+	c                *Coverer
+	k                classifier
+	level            int // the level of the cells visited
+	frontier, next   []group
 	lists, nextLists []int32
 	out, merged      []emitted
 	runs             []int
 }
 
-// cell is a frontier cell: its cursor and its edge list lists[lo:hi].
-type cell struct {
+// group is a subdivided cell, whose four children are the frontier of the
+// next level: its cursor, its rectangle and centre, from which the
+// children's rectangles follow, their edge list lists[lo:hi], and the ring
+// mask of the centre, the corner the children share.
+type group struct {
 	cellid.Cursor
+	rect   geom.Rect
+	mid    geom.Point
 	lo, hi int32
+	in     uint32
+}
+
+// childRect returns the rectangle of kid, one of g's children. Each of its
+// coordinates is one of g's or g's centre, which CellRectAt computes from
+// the same leaf integer, so it is bit-identical to kid's CellRectAt.
+func (g *group) childRect(kid cellid.Cursor) geom.Rect {
+	r := geom.Rect{Min: g.rect.Min, Max: g.mid}
+	if kid.I&1 != 0 {
+		r.Min.X, r.Max.X = g.mid.X, g.rect.Max.X
+	}
+	if kid.J&1 != 0 {
+		r.Min.Y, r.Max.Y = g.mid.Y, g.rect.Max.Y
+	}
+	return r
 }
 
 // emitted is a covering cell with its Interior flag.
@@ -299,7 +444,8 @@ var walkPool = sync.Pool{New: func() any { return new(walk) }}
 const maxPooledLen = 1 << 14
 
 func (w *walk) release() {
-	if max(cap(w.edges), cap(w.frontier), cap(w.next), cap(w.lists), cap(w.nextLists),
+	w.c, w.k.region, w.k.poly = nil, nil, nil
+	if max(cap(w.k.edges), cap(w.frontier), cap(w.next), cap(w.lists), cap(w.nextLists),
 		cap(w.out), cap(w.merged), cap(w.runs)) <= maxPooledLen {
 		walkPool.Put(w)
 	}
@@ -308,60 +454,84 @@ func (w *walk) release() {
 // walkLevels refines from start coarsest-first, so the cell budget goes to
 // the big boundary cells first. Children are one level finer than their
 // parent and children of ascending disjoint parents ascend, so "coarsest
-// first, then by id" is a level-order walk over two frontier slices, and
-// each level emits one ascending run. A frontier cell carries its grid
-// coordinates and Hilbert orientation, so no cell id is decoded. Its edge
-// list is lists[lo:hi]; the lists of the next level are filled into
-// nextLists while this level is classified. Cover only walks from a start
-// at MinLevel or finer, so every level may emit.
-func (c *Coverer) walkLevels(k *classifier, start cellid.ID, w *walk) {
-	lists := k.appendAll(w.lists[:0])
-	frontier := append(w.frontier[:0], cell{cellid.NewCursor(start), 0, int32(len(lists))})
-	next, nextLists := w.next[:0], w.nextLists[:0]
-	out, runs := w.out[:0], append(w.runs[:0], 0)
-	for level := start.Level(); len(frontier) > 0; level++ {
-		for i, f := range frontier {
-			n := len(nextLists)
-			rel := k.classify(c.dom.CellRectAt(f.I, f.J, level), lists[f.lo:f.hi], &nextLists)
-			if rel == geom.RectDisjoint {
-				continue
-			}
-			contained := rel == geom.RectContains
-			// Budget check: the four children plus whatever is pending or
-			// emitted must stay within MaxCells, otherwise emit as-is.
-			pending := len(frontier) - i - 1 + len(next)
-			if contained || level >= c.opts.MaxLevel || len(out)+pending+4 > c.opts.MaxCells {
-				out = append(out, emitted{f.ID, contained})
-				nextLists = nextLists[:n]
-				continue
-			}
-			lo, hi := int32(n), int32(len(nextLists))
-			for _, child := range f.Children() {
-				next = append(next, cell{child, lo, hi})
+// first, then by id" is a level-order walk over two frontier slices of
+// subdivided cells, and each level emits one ascending run. A frontier
+// entry carries its grid coordinates and Hilbert orientation, so no cell
+// id is decoded. Its children's edge list is lists[lo:hi]; the lists of
+// the next level are filled into nextLists while this level is
+// classified. Cover only walks from a start at MinLevel or finer, so every
+// level may emit.
+func (w *walk) walkLevels(start cellid.ID) {
+	w.level = start.Level()
+	w.lists = w.k.appendAll(w.lists[:0])
+	w.frontier, w.next, w.nextLists = w.frontier[:0], w.next[:0], w.nextLists[:0]
+	w.out, w.runs = w.out[:0], append(w.runs[:0], 0)
+	s := cellid.NewCursor(start)
+	w.visit(&s, w.c.dom.CellRectAt(s.I, s.J, w.level), w.lists, unknownMask, geom.Point{}, 0)
+	for {
+		if len(w.out) > w.runs[len(w.runs)-1] {
+			w.runs = append(w.runs, len(w.out))
+		}
+		w.frontier, w.next = w.next, w.frontier[:0]
+		w.lists, w.nextLists = w.nextLists, w.lists[:0]
+		if len(w.frontier) == 0 {
+			break
+		}
+		w.level++
+		for gi := range w.frontier {
+			g := &w.frontier[gi]
+			list := w.lists[g.lo:g.hi]
+			kids := g.Children()
+			for ci := range kids {
+				// The cells after this one at this level, then the
+				// children already queued for the next.
+				pending := 4*(len(w.frontier)-gi-1) + 3 - ci + 4*len(w.next)
+				w.visit(&kids[ci], g.childRect(kids[ci]), list, g.in, g.mid, pending)
 			}
 		}
-		if len(out) > runs[len(runs)-1] {
-			runs = append(runs, len(out))
-		}
-		frontier, next = next, frontier[:0]
-		lists, nextLists = nextLists, lists[:0]
 	}
-	w.frontier, w.next, w.lists, w.nextLists = frontier, next, lists, nextLists
-	w.out, w.runs = out, runs
+}
+
+// visit classifies f, a cell at w.level with rectangle rect, against the
+// edges in list; in is the ring mask of its corner p, or unknownMask. A
+// disjoint cell is dropped. A contained cell, a cell at MaxLevel, and a
+// cell whose four children would not fit in MaxCells beside the pending
+// cells and those emitted are emitted. Any other cell is queued in w.next.
+func (w *walk) visit(f *cellid.Cursor, rect geom.Rect, list []int32, in uint32, p geom.Point, pending int) {
+	n := len(w.nextLists)
+	rel := w.k.classify(rect, list, &w.nextLists, in)
+	if rel == geom.RectDisjoint {
+		return
+	}
+	contained := rel == geom.RectContains
+	if opts := &w.c.opts; contained || w.level >= opts.MaxLevel || len(w.out)+pending+4 > opts.MaxCells {
+		w.out = append(w.out, emitted{f.ID, contained})
+		w.nextLists = w.nextLists[:n]
+		return
+	}
+	// Filled in place: a group is too large to copy cheaply.
+	w.next = slices.Grow(w.next, 1)[:len(w.next)+1]
+	g := &w.next[len(w.next)-1]
+	g.Cursor, g.rect, g.lo, g.hi = *f, rect, int32(n), int32(len(w.nextLists))
+	g.mid = w.c.dom.CellRectAt(2*f.I+1, 2*f.J+1, w.level+1).Min
+	g.in = unknownMask
+	if w.k.poly != nil {
+		g.in = w.k.centreMask(p, g.mid, rect, in, w.nextLists[n:])
+	}
 }
 
 // seedAtLevel emits all descendants of start at the given level that
 // intersect the region, in ascending order: one run. Used when the
 // enclosing cell is coarser than MinLevel.
-func (c *Coverer) seedAtLevel(k *classifier, start cellid.ID, level int, w *walk) {
-	all := k.appendAll(w.lists[:0])
+func (w *walk) seedAtLevel(start cellid.ID, level int) {
+	all := w.k.appendAll(w.lists[:0])
 	hits := w.nextLists[:0]
 	out := w.out[:0]
 	begin := start.ChildBeginAt(level)
 	end := start.ChildEndAt(level)
 	for id := begin; ; id = id.Next() {
 		hits = hits[:0]
-		if rel := k.classify(c.dom.CellRect(id), all, &hits); rel != geom.RectDisjoint {
+		if rel := w.k.classify(w.c.dom.CellRect(id), all, &hits, unknownMask); rel != geom.RectDisjoint {
 			out = append(out, emitted{id, rel == geom.RectContains})
 		}
 		if id == end {

@@ -182,13 +182,6 @@ func (r Rect) String() string {
 	return fmt.Sprintf("[%v - %v]", r.Min, r.Max)
 }
 
-// orientation classifies the turn formed by a->b->c: positive for a left
-// (counter-clockwise) turn, negative for a right turn, zero for collinear
-// points.
-func orientation(a, b, c Point) float64 {
-	return b.Sub(a).Cross(c.Sub(a))
-}
-
 // onSegment reports whether point p lies on the closed segment ab, assuming
 // p is already known to be collinear with a and b.
 func onSegment(a, b, p Point) bool {
@@ -197,44 +190,46 @@ func onSegment(a, b, p Point) bool {
 }
 
 // SegmentsIntersect reports whether the closed segments ab and cd share at
-// least one point. Touching endpoints count as intersections.
+// least one point, exactly. Touching endpoints count as intersections.
 func SegmentsIntersect(a, b, c, d Point) bool {
-	d1 := orientation(c, d, a)
-	d2 := orientation(c, d, b)
-	d3 := orientation(a, b, c)
-	d4 := orientation(a, b, d)
+	d1 := OrientSign(c, d, a)
+	d2 := OrientSign(c, d, b)
+	d3 := OrientSign(a, b, c)
+	d4 := OrientSign(a, b, d)
 
-	if ((d1 > 0 && d2 < 0) || (d1 < 0 && d2 > 0)) &&
-		((d3 > 0 && d4 < 0) || (d3 < 0 && d4 > 0)) {
+	if d1*d2 < 0 && d3*d4 < 0 {
 		return true
 	}
-	if d1 == 0 && onSegment(c, d, a) {
-		return true
-	}
-	if d2 == 0 && onSegment(c, d, b) {
-		return true
-	}
-	if d3 == 0 && onSegment(a, b, c) {
-		return true
-	}
-	if d4 == 0 && onSegment(a, b, d) {
-		return true
-	}
-	return false
+	return d1 == 0 && onSegment(c, d, a) || d2 == 0 && onSegment(c, d, b) ||
+		d3 == 0 && onSegment(a, b, c) || d4 == 0 && onSegment(a, b, d)
 }
 
-// SegmentIntersectsRect reports whether the closed segment ab intersects the
-// closed rectangle r.
+// SegmentIntersectsRect reports whether the closed segment ab meets the
+// closed rectangle r, exactly. It is the separating-axis test for two
+// convex sets: they are disjoint iff their bounding boxes are, or the four
+// corners of r lie strictly on one side of the line through a and b. An
+// endpoint inside r settles it first: at coarse cells, where many
+// vertices fall inside one cell, that is most edges.
+//
+// The corners need two signs, not four. The determinant (b−a) × (p−a) is
+// linear in p, so over r it is largest at the corner hi and smallest at
+// the corner lo that the signs of b−a pick (exact: a float difference is
+// zero or keeps its sign). All four corners are strictly on one side iff
+// it is negative at hi or positive at lo.
 func SegmentIntersectsRect(a, b Point, r Rect) bool {
+	if a.X < r.Min.X && b.X < r.Min.X || a.X > r.Max.X && b.X > r.Max.X ||
+		a.Y < r.Min.Y && b.Y < r.Min.Y || a.Y > r.Max.Y && b.Y > r.Max.Y {
+		return false
+	}
 	if r.ContainsPoint(a) || r.ContainsPoint(b) {
 		return true
 	}
-	// The segment can only cross the rectangle through one of its edges.
-	v := r.Vertices()
-	for i := 0; i < 4; i++ {
-		if SegmentsIntersect(a, b, v[i], v[(i+1)%4]) {
-			return true
-		}
+	hi, lo := Point{r.Min.X, r.Max.Y}, Point{r.Max.X, r.Min.Y}
+	if b.X < a.X {
+		hi.Y, lo.Y = lo.Y, hi.Y
 	}
-	return false
+	if b.Y < a.Y {
+		hi.X, lo.X = lo.X, hi.X
+	}
+	return OrientSign(a, b, hi) >= 0 && OrientSign(a, b, lo) <= 0
 }

@@ -138,7 +138,8 @@ func (p *Polygon) Centroid() Point {
 // ContainsPoint reports whether pt lies strictly inside p or on its
 // boundary. Points inside a hole are not contained. The implementation uses
 // the even-odd ray-casting rule with explicit boundary handling so that
-// boundary points are classified deterministically as contained.
+// boundary points are classified deterministically as contained. Every
+// side it decides is an exact OrientSign, so the answer is exact.
 func (p *Polygon) ContainsPoint(pt Point) bool {
 	if !p.bbox.ContainsPoint(pt) {
 		return false
@@ -163,23 +164,25 @@ func (p *Polygon) ContainsPoint(pt Point) bool {
 }
 
 // ringContains reports whether pt is inside the ring (even-odd rule) and
-// whether it lies exactly on the ring boundary.
+// whether it lies exactly on the ring boundary. An edge is crossed when it
+// spans pt.Y half-open (so a vertex is counted once) and pt lies strictly
+// left of it taken upward, which is OrientSign(a, b, pt) > 0 for an
+// upward edge and < 0 for a downward one; a zero sign within the edge's
+// box is a point on the boundary.
 func ringContains(ring []Point, pt Point) (inside, boundary bool) {
-	n := len(ring)
-	j := n - 1
-	for i := 0; i < n; i++ {
-		a, b := ring[j], ring[i]
-		if orientation(a, b, pt) == 0 && onSegment(a, b, pt) {
-			return false, true
-		}
-		// Half-open rule on Y avoids double counting at vertices.
-		if (a.Y > pt.Y) != (b.Y > pt.Y) {
-			xCross := a.X + (pt.Y-a.Y)/(b.Y-a.Y)*(b.X-a.X)
-			if pt.X < xCross {
+	a := ring[len(ring)-1]
+	for _, b := range ring {
+		spans := (a.Y > pt.Y) != (b.Y > pt.Y)
+		if spans || onSegment(a, b, pt) {
+			s := OrientSign(a, b, pt)
+			if s == 0 && onSegment(a, b, pt) {
+				return false, true
+			}
+			if spans && (s > 0) == (b.Y > a.Y) {
 				inside = !inside
 			}
 		}
-		j = i
+		a = b
 	}
 	return inside, false
 }
@@ -255,10 +258,14 @@ const (
 // ContainsRect's conservative edge test says. Otherwise the boundary
 // misses the connected set r, so r lies wholly inside or wholly outside
 // p and any one point decides; r.Min is tested. A hole inside r has its
-// edges inside r, so it is caught by the first step.
+// edges inside r, so it is caught by the first step. Both facts are
+// exact: the edge test is SegmentIntersectsRect and the point test
+// ContainsPoint, both on OrientSign.
 //
 // The region coverer applies the same two steps with per-cell edge lists
-// (internal/cover), so the edges it tests per cell shrink down the tree.
+// (internal/cover), so the edges it tests per cell shrink down the tree,
+// and decides the second for most cells from a point whose inside/outside
+// bits it carries down the walk instead of a ring walk per cell.
 func (p *Polygon) ClassifyRect(r Rect) RectRelation {
 	if !p.bbox.Intersects(r) {
 		return RectDisjoint
