@@ -636,7 +636,7 @@ func (g *GeoBlock) Coarsen(level int) (*GeoBlock, error) {
 
 // BuildPyramid derives a pyramid of coarser levels below the base block:
 // levels base−1, base−2, …, down to max(0, base−levels), each obtained by
-// coarsening the previous level — one pass over the finer aggregates, no
+// coarsening the previous level — a linear merge of the finer aggregates, no
 // base-data rescan (core.Coarsen). The query planner (QueryOpts) answers
 // error-bounded queries at the coarsest admissible pyramid level. Each
 // level inherits the block's cache configuration with its own private

@@ -171,8 +171,17 @@ rows:
 
 // Coarsen derives a new GeoBlock at a coarser level from b without
 // re-scanning the base data (paper Sec. 3.4, "Aggregate Granularity"):
-// cell aggregates of the finer block are merged in one pass over the
-// aggregates. newLevel must not exceed b's level.
+// the cell aggregates of the finer block are merged parent by parent.
+// newLevel must not exceed b's level.
+//
+// The merge runs in exact-size passes rather than appending cell by cell:
+// the first counts the distinct parents, so every output array is
+// allocated once at its final length; the second fills keys, offsets,
+// counts and leaf-key extremes and records where each parent's run of
+// fine cells starts; the third folds each column's runs into sums, mins,
+// maxs and the prefix-sum array together. Each run is folded in ascending
+// fine index from the identity (+0, +Inf, −Inf), so the result is
+// bit-identical to merging the fine aggregates one at a time.
 func Coarsen(b *GeoBlock, newLevel int) (*GeoBlock, error) {
 	if newLevel > b.level {
 		return nil, fmt.Errorf("core: cannot coarsen level %d block to finer level %d (rescan base data instead)", b.level, newLevel)
@@ -192,39 +201,79 @@ func Coarsen(b *GeoBlock, newLevel int) (*GeoBlock, error) {
 			Cols:  append([]ColAggregate(nil), b.header.Cols...),
 		},
 	}
+
+	// Pass 1: the fine keys are sorted, so parents come in runs.
+	n, m := len(b.keys), 0
 	var cur cellid.ID
-	open := false
-	for i := range b.keys {
+	for i, k := range b.keys {
 		maybeYield(i)
-		parent := b.keys[i].Parent(newLevel)
-		if !open || parent != cur {
-			out.keys = append(out.keys, parent)
-			out.offsets = append(out.offsets, b.offsets[i])
-			out.counts = append(out.counts, 0)
-			out.minKeys = append(out.minKeys, b.minKeys[i])
-			out.maxKeys = append(out.maxKeys, b.maxKeys[i])
-			for c := range out.cols {
-				out.cols[c].appendEmpty()
+		if p := k.Parent(newLevel); i == 0 || p != cur {
+			cur = p
+			m++
+		}
+	}
+
+	// Pass 2: exact-size arrays; starts[j] is the first fine cell of
+	// parent j, and starts[m] closes the last run.
+	out.keys = make([]cellid.ID, m)
+	out.offsets = make([]uint32, m)
+	out.counts = make([]uint32, m)
+	out.minKeys = make([]cellid.ID, m)
+	out.maxKeys = make([]cellid.ID, m)
+	starts := make([]uint32, m+1)
+	j := -1
+	for i, k := range b.keys {
+		maybeYield(i)
+		if p := k.Parent(newLevel); j < 0 || p != out.keys[j] {
+			j++
+			out.keys[j] = p
+			out.offsets[j] = b.offsets[i]
+			out.minKeys[j] = b.minKeys[i]
+			out.maxKeys[j] = b.maxKeys[i]
+			starts[j] = uint32(i)
+		} else {
+			if b.minKeys[i] < out.minKeys[j] {
+				out.minKeys[j] = b.minKeys[i]
 			}
-			cur, open = parent, true
+			if b.maxKeys[i] > out.maxKeys[j] {
+				out.maxKeys[j] = b.maxKeys[i]
+			}
 		}
-		last := len(out.keys) - 1
-		out.counts[last] += b.counts[i]
-		if b.minKeys[i] < out.minKeys[last] {
-			out.minKeys[last] = b.minKeys[i]
-		}
-		if b.maxKeys[i] > out.maxKeys[last] {
-			out.maxKeys[last] = b.maxKeys[i]
-		}
-		for c := range out.cols {
-			src := &b.cols[c]
-			out.cols[c].mergeAt(last, src.mins[i], src.maxs[i], src.sums[i])
+		out.counts[j] += b.counts[i]
+	}
+	starts[m] = uint32(n)
+
+	// Pass 3: one column at a time, each run folded from the identity in
+	// ascending fine order, with the prefix sums written alongside.
+	for c := range out.cols {
+		src, dst := &b.cols[c], &out.cols[c]
+		dst.sums = make([]float64, m)
+		dst.mins = make([]float64, m)
+		dst.maxs = make([]float64, m)
+		dst.prefix = make([]float64, m+1)
+		sums, mins, maxs := src.sums[:n], src.mins[:n], src.maxs[:n]
+		running := 0.0
+		for j := 0; j < m; j++ {
+			first, end := int(starts[j]), int(starts[j+1])
+			sum, lo, hi := 0.0, math.Inf(1), math.Inf(-1)
+			for i := first; i < end; i++ {
+				maybeYield(i)
+				sum += sums[i]
+				if mins[i] < lo {
+					lo = mins[i]
+				}
+				if maxs[i] > hi {
+					hi = maxs[i]
+				}
+			}
+			dst.sums[j], dst.mins[j], dst.maxs[j] = sum, lo, hi
+			running += sum
+			dst.prefix[j+1] = running
 		}
 	}
-	if len(out.keys) > 0 {
+	if m > 0 {
 		out.header.MinCell = out.keys[0]
-		out.header.MaxCell = out.keys[len(out.keys)-1]
+		out.header.MaxCell = out.keys[m-1]
 	}
-	out.buildPrefixes()
 	return out, nil
 }

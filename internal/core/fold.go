@@ -38,14 +38,26 @@ func FoldRows(b *GeoBlock, leaves []cellid.ID, cols [][]float64) (*GeoBlock, err
 		}
 	}
 
-	// Filter pass: indices of qualifying rows, in leaf order.
+	// Filter pass: indices of qualifying rows, in leaf order, and the
+	// number of distinct cells they open that b does not have, so the
+	// merge below writes into arrays of their final length.
 	keep := make([]int, 0, len(leaves))
+	newCells, at := 0, 0
+	var lastCell cellid.ID
 rows:
 	for i := range leaves {
+		maybeYield(i)
 		for _, pr := range b.filter {
 			if !pr.Matches(cols[pr.Col][i]) {
 				continue rows
 			}
+		}
+		if cell := leaves[i].Parent(b.level); len(keep) == 0 || cell != lastCell {
+			at = b.gallopLowerBound(cell, at)
+			if at == len(b.keys) || b.keys[at] != cell {
+				newCells++
+			}
+			lastCell = cell
 		}
 		keep = append(keep, i)
 	}
@@ -65,15 +77,15 @@ rows:
 			Cols:  append([]ColAggregate(nil), b.header.Cols...),
 		},
 	}
-	n := len(b.keys) // merge output is at most n + distinct new cells
-	nb.keys = make([]cellid.ID, 0, n+1)
-	nb.counts = make([]uint32, 0, n+1)
-	nb.minKeys = make([]cellid.ID, 0, n+1)
-	nb.maxKeys = make([]cellid.ID, 0, n+1)
+	n := len(b.keys) + newCells // the merge's exact output length
+	nb.keys = make([]cellid.ID, 0, n)
+	nb.counts = make([]uint32, 0, n)
+	nb.minKeys = make([]cellid.ID, 0, n)
+	nb.maxKeys = make([]cellid.ID, 0, n)
 	for c := range nb.cols {
-		nb.cols[c].sums = make([]float64, 0, n+1)
-		nb.cols[c].mins = make([]float64, 0, n+1)
-		nb.cols[c].maxs = make([]float64, 0, n+1)
+		nb.cols[c].sums = make([]float64, 0, n)
+		nb.cols[c].mins = make([]float64, 0, n)
+		nb.cols[c].maxs = make([]float64, 0, n)
 	}
 
 	copyCell := func(i int) {
@@ -145,6 +157,7 @@ rows:
 	nb.offsets = make([]uint32, len(nb.keys))
 	var running uint32
 	for i := range nb.keys {
+		maybeYield(i)
 		nb.offsets[i] = running
 		running += nb.counts[i]
 	}

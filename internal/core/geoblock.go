@@ -77,17 +77,6 @@ func (cs *colStore) addValueAt(i int, v float64) {
 	cs.sums[i] += v
 }
 
-// mergeAt folds another cell aggregate (min/max/sum) into slot i.
-func (cs *colStore) mergeAt(i int, min, max, sum float64) {
-	if min < cs.mins[i] {
-		cs.mins[i] = min
-	}
-	if max > cs.maxs[i] {
-		cs.maxs[i] = max
-	}
-	cs.sums[i] += sum
-}
-
 // appendEmpty opens a new cell aggregate initialised to the identity.
 func (cs *colStore) appendEmpty() {
 	cs.sums = append(cs.sums, 0)
@@ -209,9 +198,10 @@ func (b *GeoBlock) SizeBytes() int {
 
 // buildPrefixes (re)materialises the per-column prefix-sum arrays from the
 // per-cell sums. Cost is one linear pass per column. Every mutation path
-// — Build, Coarsen, ReadBlock and Update — calls it before returning, so
-// query paths can rely on fresh prefixes and stay strictly read-only
-// (safe for concurrent readers between serialized updates).
+// — Build, FoldRows, ReadBlock, MapBlock and Update — calls it before
+// returning (Coarsen writes the same prefixes in its fold pass), so query
+// paths can rely on fresh prefixes and stay strictly read-only (safe for
+// concurrent readers between serialized updates).
 func (b *GeoBlock) buildPrefixes() {
 	n := len(b.keys)
 	for c := range b.cols {

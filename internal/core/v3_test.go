@@ -21,7 +21,7 @@ func fixTableCRC(b []byte) {
 	binary.LittleEndian.PutUint32(b[v3OffTableCRC:], crc)
 }
 
-func v3Bytes(t *testing.T) ([]byte, *GeoBlock) {
+func v3Bytes(t testing.TB) ([]byte, *GeoBlock) {
 	t.Helper()
 	f := newFixture(t, 5000, 16)
 	filter := column.Filter{{Col: 0, Op: column.OpGe, Value: 10}}
@@ -132,21 +132,22 @@ func TestV3CoarsenFromMapped(t *testing.T) {
 	}
 }
 
-// TestV3Corruption is the v3 counterpart of the frame corruption table:
-// every byte-level mutation must surface a typed error from the eager
-// probe or the fault-time map — never a crash or a silently wrong block.
-func TestV3Corruption(t *testing.T) {
-	pristine, _ := v3Bytes(t)
+// v3Corruption mutates a pristine v3 image and names the typed error the
+// result must surface.
+type v3Corruption struct {
+	name    string
+	mutate  func([]byte) []byte
+	wantErr error
+	// lazyOnly marks corruption that the eager probe must accept (it
+	// lives in the data region) and only MapBlock may reject.
+	lazyOnly bool
+}
 
+// v3Corruptions is the v3 counterpart of the frame corruption table.
+// TestV3Corruption runs it; FuzzMapBlock seeds its corpus from it.
+func v3Corruptions() []v3Corruption {
 	le := binary.LittleEndian
-	cases := []struct {
-		name    string
-		mutate  func([]byte) []byte
-		wantErr error
-		// lazyOnly marks corruption that the eager probe must accept
-		// (it lives in the data region) and only MapBlock may reject.
-		lazyOnly bool
-	}{
+	return []v3Corruption{
 		{"empty file", func(b []byte) []byte { return nil }, ErrCorrupt, false},
 		{"truncated header", func(b []byte) []byte { return b[:100] }, ErrCorrupt, false},
 		{"truncated section table", func(b []byte) []byte {
@@ -209,8 +210,14 @@ func TestV3Corruption(t *testing.T) {
 			return b
 		}, ErrCorrupt, false},
 	}
+}
 
-	for _, tc := range cases {
+// TestV3Corruption checks that every byte-level mutation surfaces a typed
+// error from the eager probe or the fault-time map — never a crash or a
+// silently wrong block.
+func TestV3Corruption(t *testing.T) {
+	pristine, _ := v3Bytes(t)
+	for _, tc := range v3Corruptions() {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.mutate(append([]byte(nil), pristine...))
 			_, perr := ProbeV3(b, int64(len(b)))
@@ -248,5 +255,48 @@ func TestV3ProbePrefixProtocol(t *testing.T) {
 	}
 	if _, err := ProbeV3(enc[:dataOff-1], int64(len(enc))); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("short prefix must fail typed, got %v", err)
+	}
+}
+
+// FuzzMapBlock feeds arbitrary bytes to the shard-fault path: MapBlock,
+// then the four pyramid levels a fault derives. Every input must give a
+// typed ErrCorrupt/ErrVersion, or a block that coarsens cleanly — never a
+// panic or an out-of-bounds read. Each input also runs a second time with
+// both checksums recomputed, so a mutation reaches the structural checks
+// and the views instead of stopping at a CRC mismatch.
+func FuzzMapBlock(f *testing.F) {
+	fx := newFixture(f, 12, 16)
+	pristine := fx.build(f, 4, column.Filter{{Col: 0, Op: column.OpGe, Value: 10}}).EncodeV3()
+	f.Add(pristine)
+	for _, tc := range v3Corruptions() {
+		f.Add(tc.mutate(append([]byte(nil), pristine...)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		mapAndCoarsen(t, data)
+		if dataOff, err := V3DataOff(data, int64(len(data))); err == nil {
+			fixed := append([]byte(nil), data...)
+			binary.LittleEndian.PutUint32(fixed[v3OffDataCRC:], CRC32C(fixed[dataOff:]))
+			fixTableCRC(fixed)
+			mapAndCoarsen(t, fixed)
+		}
+	})
+}
+
+func mapAndCoarsen(t *testing.T, data []byte) {
+	m, err := MapBlock(data)
+	if err != nil {
+		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
+			t.Fatalf("untyped error: %v", err)
+		}
+		if m != nil {
+			t.Fatal("rejected input still yielded a block")
+		}
+		return
+	}
+	level := m
+	for lvl := m.Level() - 1; lvl >= 0 && lvl >= m.Level()-4; lvl-- {
+		if level, err = Coarsen(level, lvl); err != nil {
+			t.Fatalf("coarsen to %d: %v", lvl, err)
+		}
 	}
 }
