@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"geoblocks/internal/cellid"
 )
@@ -88,15 +89,16 @@ rows:
 		nb.cols[c].maxs = make([]float64, 0, n)
 	}
 
-	copyCell := func(i int) {
-		nb.keys = append(nb.keys, b.keys[i])
-		nb.counts = append(nb.counts, b.counts[i])
-		nb.minKeys = append(nb.minKeys, b.minKeys[i])
-		nb.maxKeys = append(nb.maxKeys, b.maxKeys[i])
+	// copyRun appends base cells [i, e) unchanged, one append per array.
+	copyRun := func(i, e int) {
+		nb.keys = append(nb.keys, b.keys[i:e]...)
+		nb.counts = append(nb.counts, b.counts[i:e]...)
+		nb.minKeys = append(nb.minKeys, b.minKeys[i:e]...)
+		nb.maxKeys = append(nb.maxKeys, b.maxKeys[i:e]...)
 		for c := range nb.cols {
-			nb.cols[c].sums = append(nb.cols[c].sums, b.cols[c].sums[i])
-			nb.cols[c].mins = append(nb.cols[c].mins, b.cols[c].mins[i])
-			nb.cols[c].maxs = append(nb.cols[c].maxs, b.cols[c].maxs[i])
+			nb.cols[c].sums = append(nb.cols[c].sums, b.cols[c].sums[i:e]...)
+			nb.cols[c].mins = append(nb.cols[c].mins, b.cols[c].mins[i:e]...)
+			nb.cols[c].maxs = append(nb.cols[c].maxs, b.cols[c].maxs[i:e]...)
 		}
 	}
 	openCell := func(cell, leaf cellid.ID) {
@@ -126,17 +128,24 @@ rows:
 		}
 	}
 
-	i, j := 0, 0
-	for steps := 0; i < len(b.keys) || j < len(keep); steps++ {
-		maybeYield(steps)
+	// Each step emits at least one output cell, and a bulk copy stops at
+	// the next multiple of yieldStride output cells, so the yield fires
+	// once per stride of output — at least once per stride of base cells.
+	for i, j := 0, 0; i < len(b.keys) || j < len(keep); maybeYield(len(nb.keys)) {
 		var rowCell cellid.ID
 		if j < len(keep) {
 			rowCell = leaves[keep[j]].Parent(b.level)
 		}
 		switch {
 		case j >= len(keep) || (i < len(b.keys) && b.keys[i] < rowCell):
-			copyCell(i)
-			i++
+			// The base cells below the next row's cell are untouched.
+			e := min(len(b.keys), i+yieldStride-len(nb.keys)%yieldStride)
+			if j < len(keep) {
+				k, _ := slices.BinarySearch(b.keys[i:e], rowCell)
+				e = i + k
+			}
+			copyRun(i, e)
+			i = e
 		case i >= len(b.keys) || rowCell < b.keys[i]:
 			openCell(rowCell, leaves[keep[j]])
 			for j < len(keep) && leaves[keep[j]].Parent(b.level) == rowCell {
@@ -144,7 +153,7 @@ rows:
 				j++
 			}
 		default: // rowCell == b.keys[i]: copy then fold the run of rows
-			copyCell(i)
+			copyRun(i, i+1)
 			i++
 			for j < len(keep) && leaves[keep[j]].Parent(b.level) == rowCell {
 				addRow(keep[j])

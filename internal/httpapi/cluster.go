@@ -24,9 +24,9 @@ import (
 // assignment epoch.
 
 // handlePartial answers a peer partial request: one serialized
-// accumulator per requested shard, computed by the same shardPartial
-// kernel as local queries (pyramid level block, then the ingest delta,
-// in fixed order).
+// accumulator per requested shard, computed by the same per-shard task
+// as local queries (Dataset.ShardPartial: pyramid level block, then the
+// ingest delta, in fixed order).
 func (s *server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	s.reqPartial.Add(1)
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)

@@ -460,75 +460,25 @@ func (d *Dataset) QueryRect(r geom.Rect, reqs ...geoblocks.AggRequest) (geoblock
 // across the shards and merges the per-shard partials executed against
 // each shard's pyramid block. The result reports the level answered at
 // and the guaranteed error bound of the covering (paper Sec. 3.4); zero
-// options reproduce the exact path bit for bit.
+// options reproduce the exact path bit for bit. It is a join over one
+// region (execute).
 func (d *Dataset) QueryOpts(poly *geom.Polygon, opts geoblocks.QueryOptions, reqs ...geoblocks.AggRequest) (geoblocks.Result, error) {
-	return d.queryRegion(opts, reqs,
-		func(lvl int, tag string) resultcache.Key {
-			return resultcache.PolygonKey(poly, lvl, opts.MaxError, tag)
-		},
-		func(c *cover.Coverer) *cover.Covering { return c.Cover(poly) })
+	return d.queryOne(target{poly: poly}, opts, reqs)
 }
 
 // QueryRectOpts is QueryOpts over a rectangle.
 func (d *Dataset) QueryRectOpts(r geom.Rect, opts geoblocks.QueryOptions, reqs ...geoblocks.AggRequest) (geoblocks.Result, error) {
-	return d.queryRegion(opts, reqs,
-		func(lvl int, tag string) resultcache.Key {
-			return resultcache.RectKey(r, lvl, opts.MaxError, tag)
-		},
-		func(c *cover.Coverer) *cover.Covering { return c.CoverRect(r) })
+	return d.queryOne(target{rect: r}, opts, reqs)
 }
 
-// queryRegion is the single-region query path behind QueryOpts and
-// QueryRectOpts: plan the level once, then — with a result cache — look
-// the region's footprint (keyFn) up. A hit returns without touching the
-// router; a covered miss (the covering is memoized but the result is
-// missing or from an older generation) re-runs only the scatter-gather;
-// a cold miss, or no result cache, computes the covering with coverFn
-// first. Computed results are offered back to the cache. The cached
-// ErrorBound and Level are data-independent — both derive from the
-// covering alone — so replaying them after an invalidation is exact.
-func (d *Dataset) queryRegion(opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest,
-	keyFn func(lvl int, aggs string) resultcache.Key, coverFn func(*cover.Coverer) *cover.Covering) (geoblocks.Result, error) {
-	if err := opts.Validate(); err != nil {
+// queryOne runs execute over one target held on the caller's stack, so a
+// single query allocates nothing for being a join of one.
+func (d *Dataset) queryOne(t target, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) (geoblocks.Result, error) {
+	ts := [1]target{t}
+	if _, err := d.execute(ts[:], 1, opts, reqs); err != nil {
 		return geoblocks.Result{}, err
 	}
-	d.queries.Add(1)
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	lvl := d.PlanLevel(opts.MaxError)
-
-	var (
-		key     resultcache.Key
-		gen     uint64
-		cells   []cellid.ID
-		bound   float64
-		outcome = resultcache.Miss
-	)
-	cacheable := d.results != nil && !opts.DisableCache
-	if cacheable {
-		key = keyFn(lvl, aggsTag(reqs))
-		gen = d.results.Generation()
-		var res geoblocks.Result
-		res, cells, bound, outcome = d.results.Lookup(key, gen)
-		if outcome == resultcache.Hit {
-			return res, nil
-		}
-	}
-	if outcome != resultcache.MissCovered {
-		c := d.covererAt(lvl)
-		cov := coverFn(c)
-		cells, bound = cov.Cells, c.GuaranteedErrorDistance(cov)
-	}
-	res, err := d.queryCovering(cells, lvl, opts, reqs)
-	if err != nil {
-		return geoblocks.Result{}, err
-	}
-	res.Level = lvl
-	res.ErrorBound = bound
-	if cacheable {
-		d.results.Store(key, cells, bound, res, gen)
-	}
-	return res, nil
+	return ts[0].res, nil
 }
 
 // aggsTag is the canonical aggregate-spec component of a query footprint:
@@ -558,58 +508,57 @@ func aggsTag(reqs []geoblocks.AggRequest) string {
 // QueryCovering answers a SELECT query over a pre-computed covering
 // (ascending, disjoint, no cells finer than the block level). The
 // covering fixes the grid level — it executes at full resolution with a
-// conservative reported bound (diagonal of its coarsest cell). Shards
-// whose range the covering misses are never touched; multi-shard queries
-// fan out one goroutine per involved shard and merge the partial
-// accumulators in shard order (COUNT/MIN/MAX bit-identical to an
-// unsharded block, SUM/AVG up to floating-point reassociation — see the
-// package comment).
+// conservative reported bound (CoveringBound) and bypasses the result
+// cache, whose keys are region footprints. It is a join over one
+// covered region: shards the covering misses are never touched, and the
+// involved shards' partials, one task per shard, merge in shard order
+// (COUNT/MIN/MAX bit-identical to an unsharded block, SUM/AVG up to
+// floating-point reassociation — see the package comment).
 func (d *Dataset) QueryCovering(cov []cellid.ID, reqs ...geoblocks.AggRequest) (geoblocks.Result, error) {
-	d.queries.Add(1)
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	res, err := d.queryCovering(cov, d.opts.Level, geoblocks.QueryOptions{}, reqs)
-	if err != nil {
-		return geoblocks.Result{}, err
-	}
-	res.Level = d.opts.Level
-	res.ErrorBound = d.coveringBound(cov)
-	return res, nil
+	return d.queryOne(target{cells: cov, bound: d.CoveringBound(cov), covered: true}, geoblocks.QueryOptions{}, reqs)
 }
 
-// coveringBound is the conservative guaranteed bound of a bare cell
-// list: the diagonal of its coarsest cell, 0 for an empty covering.
-func (d *Dataset) coveringBound(cov []cellid.ID) float64 {
-	return d.dom.MaxDiagonal(cov)
-}
-
-// queryPart is one routed unit: a shard and the sub-covering it answers.
+// queryPart is one routed unit: a shard, the sub-covering it answers for
+// one region of an executor call (region indexes the call's targets), and
+// once its task has run, the partial it produced.
 type queryPart struct {
-	shard *shard
-	sub   []cellid.ID
+	shard  *shard
+	sub    []cellid.ID
+	region int
+	acc    *geoblocks.Accumulator
 }
 
-// route splits the covering across the shards it intersects. Shards are
-// sorted by their disjoint cell ranges and the covering spans
-// [cov[0].RangeMin(), cov[last].RangeMax()], so a binary search bounds
-// the candidate shards and routing costs O(log shards + candidates)
-// instead of scanning all shards for every query.
+// route splits the covering across the shards it intersects, in
+// ascending shard order.
 func (d *Dataset) route(cov []cellid.ID) []queryPart {
-	if len(cov) == 0 {
-		return nil
-	}
-	lo, hi := cov[0].RangeMin(), cov[len(cov)-1].RangeMax()
-	first := sort.Search(len(d.shards), func(i int) bool {
-		return d.shards[i].cell.RangeMax() >= lo
-	})
-	var parts []queryPart
-	for i := first; i < len(d.shards) && d.shards[i].cell.RangeMin() <= hi; i++ {
+	return d.routeInto(nil, cov, 0)
+}
+
+// routeInto appends region's parts of the covering to parts.
+func (d *Dataset) routeInto(parts []queryPart, cov []cellid.ID, region int) []queryPart {
+	first, end := d.candidates(cov)
+	for i := first; i < end; i++ {
 		sh := &d.shards[i]
 		if sub := geoblocks.SplitCovering(cov, sh.cell); len(sub) > 0 {
-			parts = append(parts, queryPart{shard: sh, sub: sub})
+			parts = append(parts, queryPart{shard: sh, sub: sub, region: region})
 		}
 	}
 	return parts
+}
+
+// candidates returns the range [first, end) of shards the covering may
+// meet. Shards are sorted by their disjoint cell ranges and the covering
+// spans [cov[0].RangeMin(), cov[last].RangeMax()], so two binary searches
+// bound them and routing costs O(log shards + candidates) instead of
+// scanning all shards for every region.
+func (d *Dataset) candidates(cov []cellid.ID) (first, end int) {
+	if len(cov) == 0 {
+		return 0, 0
+	}
+	lo, hi := cov[0].RangeMin(), cov[len(cov)-1].RangeMax()
+	first = sort.Search(len(d.shards), func(i int) bool { return d.shards[i].cell.RangeMax() >= lo })
+	end = sort.Search(len(d.shards), func(i int) bool { return d.shards[i].cell.RangeMin() > hi })
+	return first, end
 }
 
 // levelBlock resolves the block executing a query planned at lvl: the
@@ -621,20 +570,6 @@ func levelBlock(blk *geoblocks.GeoBlock, lvl int) *geoblocks.GeoBlock {
 		return lb
 	}
 	return blk
-}
-
-// shardPartial acquires one shard, runs blockPartial on its
-// sub-covering, and releases the pin. The pin only needs to outlive the
-// scan: a returned Accumulator holds pre-combined scalar state, so
-// merging and finalising it never touch the (possibly evicted) shard
-// arrays again.
-func shardPartial(sh *shard, sub []cellid.ID, lvl int, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) (*geoblocks.Accumulator, error) {
-	blk, release, err := sh.acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return blockPartial(sh, blk, sub, lvl, opts, reqs)
 }
 
 // blockPartial answers one shard's sub-covering against blk, the shard's
@@ -663,59 +598,6 @@ func blockPartial(sh *shard, blk *geoblocks.GeoBlock, sub []cellid.ID, lvl int, 
 		return nil, err
 	}
 	return acc, nil
-}
-
-// queryCovering executes one planned query: cov must have been computed
-// at grid level lvl, and every involved shard answers its sub-covering
-// with its level-lvl pyramid block (hitting that level's own query cache
-// unless the options disable it). On a mapped dataset each involved
-// shard is pinned for its scan — cold shards fault in here, concurrently
-// for multi-shard queries.
-func (d *Dataset) queryCovering(cov []cellid.ID, lvl int, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) (geoblocks.Result, error) {
-	parts := d.route(cov)
-	switch len(parts) {
-	case 0:
-		// Empty covering, or one that misses every shard: an empty
-		// partial against any shard resolves the specs and finalises the
-		// identity result (zero count, NaN extrema).
-		acc, err := shardPartial(&d.shards[0], nil, lvl, opts, reqs)
-		if err != nil {
-			return geoblocks.Result{}, err
-		}
-		return acc.Result(), nil
-	case 1:
-		acc, err := shardPartial(parts[0].shard, parts[0].sub, lvl, opts, reqs)
-		if err != nil {
-			return geoblocks.Result{}, err
-		}
-		return acc.Result(), nil
-	}
-
-	accs := make([]*geoblocks.Accumulator, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i := range parts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			accs[i], errs[i] = shardPartial(parts[i].shard, parts[i].sub, lvl, opts, reqs)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return geoblocks.Result{}, err
-		}
-	}
-	// Merge in shard (ascending cell-range) order: deterministic for a
-	// fixed covering and sharding.
-	total := accs[0]
-	for _, acc := range accs[1:] {
-		if err := total.MergeFrom(acc); err != nil {
-			return geoblocks.Result{}, err
-		}
-	}
-	return total.Result(), nil
 }
 
 // Snapshot writes a durable snapshot of the dataset to dir: a manifest

@@ -7,7 +7,7 @@ package store
 // and only then acknowledges — so an acknowledged batch survives a crash
 // by WAL replay, and a crash mid-ingest loses only unacknowledged rows.
 // Queries merge base and delta partials per shard in a fixed
-// base-then-delta order (see shardPartial), keeping COUNT/MIN/MAX
+// base-then-delta order (see blockPartial), keeping COUNT/MIN/MAX
 // bit-identical to a from-scratch rebuild and SUM within the documented
 // reassociation bound. A background fold (compact.go) moves delta rows
 // into the base off the query path.

@@ -1,8 +1,11 @@
 package store
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math"
+	"slices"
+	"sync"
 
 	"geoblocks"
 	"geoblocks/internal/cellid"
@@ -11,21 +14,21 @@ import (
 	"geoblocks/internal/resultcache"
 )
 
-// This file is the approximate geospatial join operator: K polygons,
-// per-polygon aggregates, one request. It is the store's one
-// multi-region executor — a batch (QueryBatchOpts) is a join whose
-// stats are dropped. The plan is shared — one pyramid level for the
-// whole join, each distinct polygon covered once, in parallel, by the
-// same Cover a single query uses (cover.CoverShared) — and the execution
-// is the single query's: each involved shard is pinned once, every
-// polygon routed to it runs the same per-shard partial a Query runs
-// (blockPartial: base, then delta) with the same options, so the
-// per-shard query caches serve a join as they serve a query unless
-// DisableCache is set; per-polygon partials merge in ascending shard
-// order, exactly the sequential Query path's merge tree. Answers are
-// therefore bit-identical to N sequential QueryOpts calls with the same
-// options and cache state, SUM included. join_test.go pins the
-// equivalence with a randomized property suite.
+// This file is the approximate geospatial join operator — K polygons,
+// per-polygon aggregates, one request — and the store's one executor
+// (execute): a query is a join over one region, a batch
+// (QueryBatchOpts) is a join whose stats are dropped. The plan is
+// shared: one pyramid level for the whole call, each distinct region
+// covered once by the same Cover (several in parallel, via
+// cover.CoverShared). Execution runs one task per involved shard: the
+// task pins its shard once and runs the per-shard partial (blockPartial:
+// base, then delta) for every region routed there, with the caller's
+// options, so the per-shard query caches serve a join as they serve a
+// query unless DisableCache is set. Each region's partials merge in
+// ascending shard order. Answers are therefore bit-identical to N
+// sequential QueryOpts calls with the same options and cache state, SUM
+// included. join_test.go pins the equivalence with a randomized property
+// suite.
 
 // JoinStats describes one join call: the shared plan's shape and how
 // much of the coverings lies wholly inside their polygons.
@@ -87,10 +90,10 @@ func (d *Dataset) QueryBatch(polys []*geom.Polygon, reqs ...geoblocks.AggRequest
 // QueryBatchOpts answers one query per polygon through the join's
 // executor without its stats: repeated polygons are answered once, the
 // rest are covered in parallel at one planned level and run the
-// single-query partial shard by shard. Each result is bit-identical to
-// QueryOpts on that polygon alone and reports the achieved level plus
-// its own covering's guaranteed error bound. Results align positionally
-// with polys; the join counters are left alone.
+// single-query partial in one task per involved shard. Each result is
+// bit-identical to QueryOpts on that polygon alone and reports the
+// achieved level plus its own covering's guaranteed error bound. Results
+// align positionally with polys; the join counters are left alone.
 func (d *Dataset) QueryBatchOpts(polys []*geom.Polygon, opts geoblocks.QueryOptions, reqs ...geoblocks.AggRequest) ([]geoblocks.Result, error) {
 	res, _, err := d.polygonJoin(polys, opts, reqs)
 	return res, err
@@ -103,32 +106,25 @@ func (d *Dataset) QueryBatchOpts(polys []*geom.Polygon, opts geoblocks.QueryOpti
 // occurrence independently, because the whole pipeline is deterministic
 // in the polygon's content.
 func (d *Dataset) polygonJoin(polys []*geom.Polygon, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) ([]geoblocks.Result, JoinStats, error) {
-	uniq := make([]*geom.Polygon, 0, len(polys))
+	ts := make([]target, 0, len(polys))
 	back := make([]int, len(polys))
 	seen := make(map[string]int, len(polys))
 	for i, p := range polys {
 		k := polygonContentKey(p)
-		if j, ok := seen[k]; ok {
-			back[i] = j
-			continue
+		j, ok := seen[k]
+		if !ok {
+			j, seen[k] = len(ts), len(ts)
+			ts = append(ts, target{poly: p})
 		}
-		seen[k] = len(uniq)
-		back[i] = len(uniq)
-		uniq = append(uniq, p)
+		back[i] = j
 	}
-	regions := make([]cover.Region, len(uniq))
-	for i, p := range uniq {
-		regions[i] = p
-	}
-	res, stats, err := d.join(regions, len(polys), opts, reqs, func(i, lvl int, tag string) resultcache.Key {
-		return resultcache.PolygonKey(uniq[i], lvl, opts.MaxError, tag)
-	})
-	if err != nil || len(uniq) == len(polys) {
-		return res, stats, err
+	stats, err := d.execute(ts, len(polys), opts, reqs)
+	if err != nil {
+		return nil, stats, err
 	}
 	out := make([]geoblocks.Result, len(polys))
 	for i, j := range back {
-		out[i] = res[j]
+		out[i] = ts[j].res
 	}
 	return out, stats, nil
 }
@@ -164,17 +160,20 @@ func appendRing(b []byte, ring []geom.Point) []byte {
 // JoinRects is Join over rectangles — the window/grid fast path (a batch
 // of map tiles or a rect-grid aggregation window).
 func (d *Dataset) JoinRects(rects []geom.Rect, opts geoblocks.QueryOptions, reqs ...geoblocks.AggRequest) ([]geoblocks.Result, JoinStats, error) {
-	regions := make([]cover.Region, len(rects))
+	ts := make([]target, len(rects))
 	for i, r := range rects {
-		regions[i] = cover.RectRegion(r)
+		ts[i].rect = r
 	}
-	res, stats, err := d.join(regions, len(rects), opts, reqs, func(i, lvl int, tag string) resultcache.Key {
-		return resultcache.RectKey(rects[i], lvl, opts.MaxError, tag)
-	})
-	if err == nil {
-		d.NoteJoin(stats)
+	stats, err := d.execute(ts, len(rects), opts, reqs)
+	if err != nil {
+		return nil, stats, err
 	}
-	return res, stats, err
+	d.NoteJoin(stats)
+	out := make([]geoblocks.Result, len(rects))
+	for i := range ts {
+		out[i] = ts[i].res
+	}
+	return out, stats, nil
 }
 
 // PlanJoin plans a join or a batch for the cluster coordinator: one
@@ -221,136 +220,237 @@ func (d *Dataset) NoteJoin(s JoinStats) {
 	d.joinCacheMisses.Add(uint64(s.CacheMisses))
 }
 
-func (d *Dataset) join(regions []cover.Region, total int, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest, keyAt func(i, lvl int, tag string) resultcache.Key) ([]geoblocks.Result, JoinStats, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, JoinStats{}, err
+// target is one region of an executor call and, once the call returns,
+// its answer. A single query passes a one-element array from its own
+// stack; a join passes one target per distinct region.
+type target struct {
+	poly *geom.Polygon // the region: poly, or rect when poly is nil
+	rect geom.Rect
+	// cells and bound are the region's covering and its guaranteed error
+	// bound, valid once covered is set: on entry for a pre-computed
+	// covering, or from a memoized result-cache entry.
+	cells   []cellid.ID
+	bound   float64
+	covered bool
+	// keyed marks a target probed in the result cache under key; its
+	// computed answer is offered back. served marks a hit: res is final.
+	key    resultcache.Key
+	keyed  bool
+	served bool
+	acc    *geoblocks.Accumulator
+	res    geoblocks.Result
+}
+
+// region returns the target's region for the coverer.
+func (t *target) region() cover.Region {
+	if t.poly != nil {
+		return t.poly
 	}
-	d.queries.Add(uint64(total))
+	return cover.RectRegion(t.rect)
+}
+
+// footprint returns the target's result-cache key at the planned level.
+func (t *target) footprint(lvl int, maxError float64, tag string) resultcache.Key {
+	if t.poly != nil {
+		return resultcache.PolygonKey(t.poly, lvl, maxError, tag)
+	}
+	return resultcache.RectKey(t.rect, lvl, maxError, tag)
+}
+
+// uncovered reports whether the target still needs a covering.
+func (t *target) uncovered() bool { return !t.served && !t.covered }
+
+// execute is the store's one executor, behind every query, batch and
+// join: plan one level, resolve each target through the result cache,
+// cover the rest, route every covering, run one task per involved shard,
+// and merge each target's partials in ascending shard order — the merge
+// tree of a sequential query. queries is the number of caller-visible
+// regions counted against the dataset (a join counts its repeats).
+// Targets covered on entry bypass the result cache. Answers land in
+// ts[i].res.
+func (d *Dataset) execute(ts []target, queries int, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) (JoinStats, error) {
+	if err := opts.Validate(); err != nil {
+		return JoinStats{}, err
+	}
+	d.queries.Add(uint64(queries))
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-
 	lvl := d.PlanLevel(opts.MaxError)
-	stats := JoinStats{Polygons: total, UniquePolygons: len(regions), Level: lvl}
-	results := make([]geoblocks.Result, len(regions))
-	covs := make([][]cellid.ID, len(regions))
-	bounds := make([]float64, len(regions))
-	served := make([]bool, len(regions)) // result-cache hits, already final
+	stats := JoinStats{Polygons: queries, UniquePolygons: len(ts), Level: lvl}
 
-	// Per-polygon result-cache resolution: hits are final, memoized
-	// coverings skip classification, cold misses are covered below.
-	// Hit/miss counters bump per element inside Lookup.
-	useCache := d.results != nil && !opts.DisableCache
+	// Result-cache resolution, before anything is allocated: a hit is
+	// final, a memoized covering skips classification. A cached Level and
+	// ErrorBound derive from the covering alone, so replaying them after
+	// an invalidation is exact.
 	var gen uint64
-	var tag string
-	var keys []resultcache.Key
-	toCover := make([]int, 0, len(regions))
-	if useCache {
-		tag = aggsTag(reqs)
+	if d.results != nil && !opts.DisableCache {
+		tag := aggsTag(reqs)
 		gen = d.results.Generation()
-		keys = make([]resultcache.Key, len(regions))
-		for i := range regions {
-			keys[i] = keyAt(i, lvl, tag)
-			res, cells, bound, outcome := d.results.Lookup(keys[i], gen)
-			switch outcome {
-			case resultcache.Hit:
-				results[i] = res
-				served[i] = true
-				stats.CacheHits++
-			case resultcache.MissCovered:
-				covs[i], bounds[i] = cells, bound
-				stats.CacheMisses++
-			default:
-				toCover = append(toCover, i)
-				stats.CacheMisses++
-			}
-		}
-	} else {
-		for i := range regions {
-			toCover = append(toCover, i)
-		}
-	}
-
-	// Cover every polygon that still needs a covering, in parallel, with
-	// the Cover a single query uses, so cached and fresh coverings are
-	// interchangeable.
-	if len(toCover) > 0 {
-		c := d.covererAt(lvl)
-		sub := make([]cover.Region, len(toCover))
-		for j, i := range toCover {
-			sub[j] = regions[i]
-		}
-		sc := c.CoverShared(sub)
-		stats.InteriorPairs = sc.InteriorPairs
-		stats.BoundaryPairs = sc.BoundaryPairs
-		for j, i := range toCover {
-			covs[i], bounds[i] = sc.Covers[j].Cells, sc.Bounds[j]
-		}
-	}
-
-	// Shard walk: visit the shards in ascending cell order once, pinning
-	// each involved shard once for all of its polygons; each routed
-	// polygon runs blockPartial, the single-query partial (base, then
-	// delta), with the request's options. Accumulating in shard order as
-	// we go reproduces the sequential query's merge tree exactly.
-	totals := make([]*geoblocks.Accumulator, len(regions))
-	for si := range d.shards {
-		sh := &d.shards[si]
-		var blk *geoblocks.GeoBlock
-		release := func() {}
-		for i := range regions {
-			if served[i] {
-				continue
-			}
-			sub := geoblocks.SplitCovering(covs[i], sh.cell)
-			if len(sub) == 0 {
-				continue
-			}
-			if blk == nil {
-				var err error
-				if blk, release, err = sh.acquire(); err != nil {
-					return nil, stats, err
+		for i := range ts {
+			if t := &ts[i]; !t.covered {
+				var outcome resultcache.Outcome
+				t.key, t.keyed = t.footprint(lvl, opts.MaxError, tag), true
+				t.res, t.cells, t.bound, outcome = d.results.Lookup(t.key, gen)
+				t.served, t.covered = outcome == resultcache.Hit, outcome == resultcache.MissCovered
+				if t.served {
+					stats.CacheHits++
+				} else {
+					stats.CacheMisses++
 				}
 			}
-			acc, err := blockPartial(sh, blk, sub, lvl, opts, reqs)
-			if err == nil && totals[i] != nil {
-				err = totals[i].MergeFrom(acc)
-			}
-			if err != nil {
-				release()
-				return nil, stats, err
-			}
-			if totals[i] == nil {
-				totals[i] = acc
-			}
 		}
-		release()
 	}
 
-	// Finalise: routed polygons from their merged partials, unrouted
-	// ones from the identity partial (zero count, NaN extrema).
-	var identity *geoblocks.Accumulator
-	for i := range regions {
-		if served[i] {
+	// Cover the rest with the Cover a single query uses, so cached and
+	// fresh coverings are interchangeable: one region on this goroutine
+	// (CoverShared allocates its result and its workers), several in
+	// parallel.
+	n, last := 0, 0
+	for i := range ts {
+		if ts[i].uncovered() {
+			n, last = n+1, i
+		}
+	}
+	if n == 1 {
+		t, c := &ts[last], d.covererAt(lvl)
+		cov := c.Cover(t.region())
+		t.cells, t.bound = cov.Cells, c.GuaranteedErrorDistance(cov)
+		interior := 0
+		for _, in := range cov.Interior {
+			if in {
+				interior++
+			}
+		}
+		stats.InteriorPairs, stats.BoundaryPairs = interior, len(cov.Interior)-interior
+	} else if n > 1 {
+		regions := make([]cover.Region, 0, n)
+		for i := range ts {
+			if ts[i].uncovered() {
+				regions = append(regions, ts[i].region())
+			}
+		}
+		sc := d.covererAt(lvl).CoverShared(regions)
+		stats.InteriorPairs, stats.BoundaryPairs = sc.InteriorPairs, sc.BoundaryPairs
+		for i, j := 0, 0; j < n; i++ {
+			if t := &ts[i]; t.uncovered() {
+				t.cells, t.bound = sc.Covers[j].Cells, sc.Bounds[j]
+				j++
+			}
+		}
+	}
+
+	// Route each covering; a region routed to no shard gets shard 0's
+	// empty partial, the identity answer (zero count, NaN extrema). One
+	// region's parts are in shard order already; several regions' parts,
+	// presized by their candidate shards, are stably sorted by shard, so
+	// each region's stay in shard order.
+	var parts []queryPart
+	if len(ts) > 1 {
+		n := 0
+		for i := range ts {
+			if !ts[i].served {
+				first, end := d.candidates(ts[i].cells)
+				n += max(1, end-first)
+			}
+		}
+		parts = make([]queryPart, 0, n)
+	}
+	for i := range ts {
+		if ts[i].served {
 			continue
 		}
-		acc := totals[i]
-		if acc == nil {
-			if identity == nil {
-				var err error
-				identity, err = shardPartial(&d.shards[0], nil, lvl, opts, reqs)
-				if err != nil {
-					return nil, stats, err
-				}
-			}
-			acc = identity
-		}
-		res := acc.Result()
-		res.Level = lvl
-		res.ErrorBound = bounds[i]
-		results[i] = res
-		if useCache {
-			d.results.Store(keys[i], covs[i], bounds[i], res, gen)
+		k := len(parts)
+		if parts = d.routeInto(parts, ts[i].cells, i); len(parts) == k {
+			parts = append(parts, queryPart{shard: &d.shards[0], region: i})
 		}
 	}
-	return results, stats, nil
+	if len(ts) > 1 {
+		slices.SortStableFunc(parts, func(a, b queryPart) int { return cmp.Compare(a.shard.cell, b.shard.cell) })
+	}
+	if err := runTasks(parts, lvl, opts, reqs); err != nil {
+		return stats, err
+	}
+
+	// Merge each region's partials in shard order, then finalise.
+	for _, p := range parts {
+		if t := &ts[p.region]; t.acc == nil {
+			t.acc = p.acc
+		} else if err := t.acc.MergeFrom(p.acc); err != nil {
+			return stats, err
+		}
+	}
+	for i := range ts {
+		if t := &ts[i]; !t.served {
+			t.res = t.acc.Result()
+			t.res.Level, t.res.ErrorBound = lvl, t.bound
+			if t.keyed {
+				d.results.Store(t.key, t.cells, t.bound, t.res, gen)
+			}
+		}
+	}
+	return stats, nil
+}
+
+// runTasks runs one task per shard of parts, which are sorted by shard:
+// the caller's goroutine runs the first task and one goroutine runs each
+// of the others, so a single task starts none. It waits for every task,
+// so no pin outlives the call, and returns the first error in shard
+// order. Several pins held at once cannot deadlock: acquire waits only
+// on a concurrent fault of the same shard, never on the residency budget.
+func runTasks(parts []queryPart, lvl int, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) error {
+	end := taskEnd(parts, 0)
+	if end == len(parts) {
+		return runTask(parts, lvl, opts, reqs)
+	}
+	errs := make([]error, len(parts)) // at each task's first part
+	var wg sync.WaitGroup
+	for s, e := end, end; s < len(parts); s = e {
+		e = taskEnd(parts, s)
+		wg.Add(1)
+		go func(s, e int) {
+			defer wg.Done()
+			errs[s] = runTask(parts[s:e], lvl, opts, reqs)
+		}(s, e)
+	}
+	errs[0] = runTask(parts[:end], lvl, opts, reqs)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// taskEnd returns the end of the task starting at parts[s]: the run of
+// parts on one shard.
+func taskEnd(parts []queryPart, s int) int {
+	e := s
+	for e < len(parts) && parts[e].shard == parts[s].shard {
+		e++
+	}
+	return e
+}
+
+// runTask pins the task's shard once and runs blockPartial for every
+// part routed there, leaving each partial in its part. The pin only
+// needs to outlive the scans: an Accumulator holds pre-combined scalar
+// state, so merging and finalising it never touch the (possibly evicted)
+// shard arrays again.
+func runTask(task []queryPart, lvl int, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) error {
+	if len(task) == 0 {
+		return nil
+	}
+	sh := task[0].shard
+	blk, release, err := sh.acquire()
+	if err != nil {
+		return err
+	}
+	defer release()
+	for i := range task {
+		if task[i].acc, err = blockPartial(sh, blk, task[i].sub, lvl, opts, reqs); err != nil {
+			return err
+		}
+	}
+	return nil
 }

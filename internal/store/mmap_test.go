@@ -176,6 +176,14 @@ func TestMappedEviction(t *testing.T) {
 		}
 	}
 
+	// multiCall records one batch or join a worker ran: the polygon
+	// indices it asked for and the answers it got.
+	type multiCall struct {
+		idx   []int
+		res   []geoblocks.Result
+		label string
+	}
+	calls := make([][]multiCall, 8)
 	var wg sync.WaitGroup
 	errc := make(chan error, 8)
 	for w := 0; w < 8; w++ {
@@ -195,6 +203,29 @@ func TestMappedEviction(t *testing.T) {
 					return
 				}
 			}
+			// Batches and joins over random subsets pin several shards at
+			// once under the one-shard budget; their answers are checked
+			// against the eager twin once every worker is done.
+			for n := 0; n < 10; n++ {
+				idx := rng.Perm(len(polys))[:1+rng.Intn(12)]
+				sub := make([]*geom.Polygon, len(idx))
+				for k, i := range idx {
+					sub[k] = polys[i]
+				}
+				c := multiCall{idx: idx, label: "batch under eviction"}
+				var err error
+				if n%2 == 0 {
+					c.res, err = md.QueryBatch(sub, testReqs...)
+				} else {
+					c.label = "join under eviction"
+					c.res, _, err = md.Join(sub, geoblocks.QueryOptions{}, testReqs...)
+				}
+				if err != nil {
+					errc <- err
+					return
+				}
+				calls[seed] = append(calls[seed], c)
+			}
 		}(int64(w))
 	}
 	wg.Wait()
@@ -202,6 +233,16 @@ func TestMappedEviction(t *testing.T) {
 	case err := <-errc:
 		t.Fatalf("query under eviction: %v", err)
 	default:
+	}
+	for _, cs := range calls {
+		for _, c := range cs {
+			if len(c.res) != len(c.idx) {
+				t.Fatalf("%s: %d results for %d polygons", c.label, len(c.res), len(c.idx))
+			}
+			for k, i := range c.idx {
+				assertEquivalent(t, c.res[k], want[i], c.label)
+			}
+		}
 	}
 
 	rs := st.Residency().Stats()
@@ -277,6 +318,38 @@ func TestMappedFaultCorruption(t *testing.T) {
 	}
 	if healthy == 0 {
 		t.Fatal("no healthy shard answered with rows")
+	}
+
+	// A join or batch whose polygons route to the corrupt shard and to
+	// healthy ones fails typed as a whole — no partial results — and a
+	// retry fails the same way. One routed only to healthy shards answers.
+	var inHealthy []*geom.Polygon
+	for i := 1; i < md.NumShards(); i++ {
+		r := md.dom.CellRect(md.shards[i].cell)
+		c := geom.Pt((r.Min.X+r.Max.X)/2, (r.Min.Y+r.Max.Y)/2)
+		inHealthy = append(inHealthy, geoblocks.RegularPolygon(c, (r.Max.X-r.Min.X)/4, 6))
+	}
+	mixed := append(append([]*geom.Polygon(nil), inHealthy...), all)
+	for try := 0; try < 2; try++ {
+		res, _, err := md.Join(mixed, geoblocks.QueryOptions{}, testReqs...)
+		if !errors.Is(err, snapshot.ErrCorrupt) || res != nil {
+			t.Fatalf("join over the corrupt shard (try %d): %d results, err %v; want none and ErrCorrupt", try, len(res), err)
+		}
+		res, err = md.QueryBatch(mixed, testReqs...)
+		if !errors.Is(err, snapshot.ErrCorrupt) || res != nil {
+			t.Fatalf("batch over the corrupt shard (try %d): %d results, err %v; want none and ErrCorrupt", try, len(res), err)
+		}
+	}
+	got, _, err := md.Join(inHealthy, geoblocks.QueryOptions{}, testReqs...)
+	if err != nil {
+		t.Fatalf("join over healthy shards: %v", err)
+	}
+	for i, p := range inHealthy {
+		want, err := d.Query(p, testReqs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertEquivalent(t, got[i], want, "join over healthy shards")
 	}
 }
 

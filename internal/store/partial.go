@@ -12,11 +12,12 @@ import (
 // This file is the dataset's cluster face: the hooks a coordinator uses
 // to plan a query once and scatter its sub-coverings across nodes, and
 // the hook a peer uses to answer one shard's sub-covering as a partial
-// accumulator. Both sides of the wire go through the same shardPartial
-// kernel as single-node queries (base block at the planned pyramid
-// level, then the ingest delta, in fixed order), so a cluster merge in
-// ascending shard order reproduces the single-node merge tree exactly —
-// COUNT/MIN/MAX bit-identical, SUM within the DESIGN.md Sec. 6 bound.
+// accumulator. Both sides of the wire go through the same per-shard
+// task as single-node queries (runTask: pin the shard, then blockPartial
+// — base block at the planned pyramid level, then the ingest delta, in
+// fixed order), so a cluster merge in ascending shard order reproduces
+// the single-node merge tree exactly — COUNT/MIN/MAX bit-identical, SUM
+// within the DESIGN.md Sec. 6 bound.
 
 // ErrUnknownShard reports a partial request naming a shard cell this
 // dataset does not carry (wrong shard level, or an assignment pointing
@@ -108,7 +109,7 @@ func (d *Dataset) ServesLevel(lvl int) bool {
 // bare cell list (the diagonal of its coarsest cell, 0 when empty) —
 // the bound a peer reports for the sub-coverings it answered.
 func (d *Dataset) CoveringBound(cov []cellid.ID) float64 {
-	return d.coveringBound(cov)
+	return d.dom.MaxDiagonal(cov)
 }
 
 // NoteQuery counts one routed query against the dataset's stats — the
@@ -146,7 +147,11 @@ func (d *Dataset) ShardPartial(cell cellid.ID, sub []cellid.ID, lvl int, opts ge
 	if !ok {
 		return nil, fmt.Errorf("%w: %v in dataset %q", ErrUnknownShard, cell, d.name)
 	}
-	return shardPartial(&d.shards[i], sub, lvl, opts, reqs)
+	task := [1]queryPart{{shard: &d.shards[i], sub: sub}}
+	if err := runTask(task[:], lvl, opts, reqs); err != nil {
+		return nil, err
+	}
+	return task[0].acc, nil
 }
 
 // DecodePartial parses an accumulator frame produced by a peer's
