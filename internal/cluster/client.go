@@ -70,10 +70,10 @@ type Client struct {
 	addrs   map[string]string        // last seen addr by node name
 }
 
-// maxPeerConns is how many polygons one cluster join or batch executes
-// at once, and so about how many partial requests it keeps open to any
-// one peer (retries and hedges aside); the transport keeps as many idle
-// connections per peer, so those requests reuse a fixed pool.
+// maxPeerConns is how many partial requests one cluster call keeps in
+// flight at once (retries and hedges aside), and so the most it keeps
+// open to any one peer; the transport keeps as many idle connections
+// per peer, so those requests reuse a fixed pool.
 const maxPeerConns = 16
 
 // NewClient builds a client tuned by cfg's timeout/retry/hedge fields.

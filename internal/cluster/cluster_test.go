@@ -51,7 +51,7 @@ func testRows(n int, seed int64) ([]geom.Point, [][]float64) {
 	return pts, [][]float64{ints, floats}
 }
 
-func buildDataset(t *testing.T, rows int, seed int64, opts store.Options) *store.Dataset {
+func buildDataset(t testing.TB, rows int, seed int64, opts store.Options) *store.Dataset {
 	t.Helper()
 	pts, cols := testRows(rows, seed)
 	d, err := store.Build("taxi", testBound, geoblocks.NewSchema("ival", "fval"), pts, cols, opts)
@@ -112,7 +112,7 @@ func (tc *testCluster) coord() *cluster.Coordinator { return tc.nodes[0].co }
 // startCluster brings up n nodes, each a full replica built from the
 // same rows. Listener addresses are reserved before the assignment is
 // written so the config can name them.
-func startCluster(t *testing.T, n int, replication, rows int, seed int64, opts store.Options, tune func(*cluster.Config)) *testCluster {
+func startCluster(t testing.TB, n int, replication, rows int, seed int64, opts store.Options, tune func(*cluster.Config)) *testCluster {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	cfg := &cluster.Config{Epoch: 1, Replication: replication}

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -159,61 +159,79 @@ func (c *Coordinator) Stats() Stats {
 	}
 }
 
-// Query answers a polygon query cluster-wide.
+// Query answers a polygon query cluster-wide: a batch of one.
 func (c *Coordinator) Query(ctx context.Context, name string, poly *geom.Polygon, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) (geoblocks.Result, error) {
-	d, err := c.dataset(name, opts)
+	res, err := c.QueryBatch(ctx, name, []*geom.Polygon{poly}, opts, reqs)
 	if err != nil {
 		return geoblocks.Result{}, err
 	}
-	plan := d.PlanCover(poly, opts.MaxError)
-	return c.execute(ctx, d, name, plan, opts, reqs)
+	return res[0], nil
 }
 
-// QueryRect answers a rectangle query cluster-wide.
+// QueryRect answers a rectangle query cluster-wide: a rect join of one,
+// not counted as a join.
 func (c *Coordinator) QueryRect(ctx context.Context, name string, r geom.Rect, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) (geoblocks.Result, error) {
-	d, err := c.dataset(name, opts)
+	s, err := c.scatter(ctx, name, opts, reqs, 1)
 	if err != nil {
 		return geoblocks.Result{}, err
 	}
-	plan := d.PlanCoverRect(r, opts.MaxError)
-	return c.execute(ctx, d, name, plan, opts, reqs)
+	res, _, err := s.d.JoinRectsVia(s, []geom.Rect{r}, opts, reqs)
+	if err != nil {
+		return geoblocks.Result{}, err
+	}
+	return res[0], nil
 }
 
 // QueryBatch answers one query per polygon, positionally aligned with
 // polys: the cluster join without its stats. Per-element errors fail
 // the batch (matching the single-node batch contract).
 func (c *Coordinator) QueryBatch(ctx context.Context, name string, polys []*geom.Polygon, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) ([]geoblocks.Result, error) {
-	d, err := c.dataset(name, opts)
+	s, err := c.scatter(ctx, name, opts, reqs, len(polys))
 	if err != nil {
 		return nil, err
 	}
-	results, _, err := c.join(ctx, d, name, polys, opts, reqs)
-	return results, err
+	res, _, err := s.d.JoinVia(s, polys, opts, reqs)
+	return res, err
 }
 
-// Join answers a polygon join cluster-wide: the plan is computed once on
-// the coordinator's copy of the dataset (one level, one covering per
-// polygon — PlanJoin), then each polygon's planned covering scatters
-// through the same per-shard partial machinery as a single query, with
-// maxPeerConns polygons in flight at once. Because each polygon's
-// partials merge in ascending shard order, per-polygon answers are
+// Join answers a polygon join cluster-wide through the store's executor
+// on the coordinator's copy of the dataset: one plan (level, coverings,
+// routing), local shards as local tasks, the remote shards' parts packed
+// into partial requests per replica chain, and each polygon's partials
+// merged in ascending shard order. Per-polygon answers are therefore
 // bit-identical to the single-node Join (and hence to N sequential
 // queries) for COUNT/MIN/MAX. A successful join is folded into the
 // dataset's join counters.
 func (c *Coordinator) Join(ctx context.Context, name string, polys []*geom.Polygon, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) ([]geoblocks.Result, store.JoinStats, error) {
-	d, err := c.dataset(name, opts)
+	s, err := c.scatter(ctx, name, opts, reqs, len(polys))
 	if err != nil {
 		return nil, store.JoinStats{}, err
 	}
-	results, stats, err := c.join(ctx, d, name, polys, opts, reqs)
+	res, stats, err := s.d.JoinVia(s, polys, opts, reqs)
 	if err == nil {
-		d.NoteJoin(stats)
+		s.d.NoteJoin(stats)
 	}
-	return results, stats, err
+	return res, stats, err
 }
 
-// dataset validates the options and resolves the named dataset.
-func (c *Coordinator) dataset(name string, opts geoblocks.QueryOptions) (*store.Dataset, error) {
+// JoinRects is Join over rectangles — the window join, answered
+// like the single-node JoinRects.
+func (c *Coordinator) JoinRects(ctx context.Context, name string, rects []geom.Rect, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) ([]geoblocks.Result, store.JoinStats, error) {
+	s, err := c.scatter(ctx, name, opts, reqs, len(rects))
+	if err != nil {
+		return nil, store.JoinStats{}, err
+	}
+	res, stats, err := s.d.JoinRectsVia(s, rects, opts, reqs)
+	if err == nil {
+		s.d.NoteJoin(stats)
+	}
+	return res, stats, err
+}
+
+// scatter validates the options, resolves the named dataset, counts the
+// call's queries and returns its remote runner, bound to the current
+// assignment.
+func (c *Coordinator) scatter(ctx context.Context, name string, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest, queries int) (*scatter, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -221,167 +239,105 @@ func (c *Coordinator) dataset(name string, opts geoblocks.QueryOptions) (*store.
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownDataset, name)
 	}
-	return d, nil
+	c.queries.Add(uint64(queries))
+	return &scatter{c: c, ctx: ctx, d: d, assign: c.Assignment(), opts: opts, reqs: reqs}, nil
 }
 
-// join is the cluster's one multi-region executor, behind Join and
-// QueryBatch: plan every polygon at one level, then execute the plans
-// through maxPeerConns workers, so one request of up to the region cap
-// never holds more than that many polygons' partial requests open.
-func (c *Coordinator) join(ctx context.Context, d *store.Dataset, name string, polys []*geom.Polygon, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) ([]geoblocks.Result, store.JoinStats, error) {
-	plans, stats := d.PlanJoin(polys, opts.MaxError)
-	results := make([]geoblocks.Result, len(polys))
-	errs := make([]error, len(polys))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < min(maxPeerConns, len(polys)); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(polys); i = int(next.Add(1)) - 1 {
-				results[i], errs[i] = c.execute(ctx, d, name, plans[i], opts, reqs)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, stats, err
-		}
-	}
-	return results, stats, nil
+// maxRequestCells caps the covering cells of one partial request. A
+// peer decodes each body serially, so a chain's parts travel as several
+// requests, at most maxPeerConns in flight, rather than as one large
+// body; a part larger than the cap goes alone.
+const maxRequestCells = 4096
+
+// scatter is one call's store.Remote: it answers the parts on shards
+// whose replica chain excludes this node with partial requests to that
+// chain.
+type scatter struct {
+	c      *Coordinator
+	ctx    context.Context
+	d      *store.Dataset
+	assign *Assignment
+	opts   geoblocks.QueryOptions
+	reqs   []geoblocks.AggRequest
 }
 
-// remoteGroup batches the shards of one replica chain into one partial
-// request.
-type remoteGroup struct {
-	chain []Node
-	subs  []store.ShardSub
-}
-
-// execute runs one planned query: split the covering per shard, answer
-// local shards in process and remote shards via peer partial requests,
-// then merge everything in ascending shard-cell order — the exact merge
-// tree of a single-node query over the same covering, which is what
-// keeps COUNT/MIN/MAX bit-identical across deployments.
-func (c *Coordinator) execute(ctx context.Context, d *store.Dataset, name string, plan store.Plan, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) (geoblocks.Result, error) {
-	c.queries.Add(1)
-	d.NoteQuery()
-	assign := c.Assignment()
-
-	subs := d.ShardSubs(plan.Cover)
-	if len(subs) == 0 {
-		// Identity: resolve specs and finalise against any local shard,
-		// exactly like the single-node router's empty-route path.
-		acc, err := d.ShardPartial(d.ShardCells()[0], nil, plan.Level, opts, reqs)
-		if err != nil {
-			return geoblocks.Result{}, err
-		}
-		res := acc.Result()
-		res.Level = plan.Level
-		res.ErrorBound = plan.ErrorBound
-		return res, nil
-	}
-
-	var local []store.ShardSub
-	groups := make(map[string]*remoteGroup)
-	for _, sub := range subs {
-		chain := assign.Owners(sub.Cell)
-		if c.owns(chain) {
-			local = append(local, sub)
-			continue
-		}
-		key := chainKey(chain)
-		g, ok := groups[key]
-		if !ok {
-			g = &remoteGroup{chain: chain}
-			groups[key] = g
-		}
-		g.subs = append(g.subs, sub)
-	}
-
-	// Scatter: local partials and remote groups all run concurrently.
-	partials := make(map[cellid.ID]*geoblocks.Accumulator, len(subs))
-	var pmu sync.Mutex
-	var wg sync.WaitGroup
-	var localErr error
-	var unavailable []cellid.ID
-	var lastCause error
-
-	for _, sub := range local {
-		wg.Add(1)
-		go func(sub store.ShardSub) {
-			defer wg.Done()
-			c.localParts.Add(1)
-			acc, err := d.ShardPartial(sub.Cell, sub.Sub, plan.Level, opts, reqs)
-			pmu.Lock()
-			defer pmu.Unlock()
-			if err != nil {
-				if localErr == nil {
-					localErr = err
-				}
-				return
-			}
-			partials[sub.Cell] = acc
-		}(sub)
-	}
-	for _, g := range groups {
-		wg.Add(1)
-		go func(g *remoteGroup) {
-			defer wg.Done()
-			c.remoteCalls.Add(1)
-			accs, err := c.fetchGroup(ctx, d, name, assign, plan, opts, reqs, g)
-			pmu.Lock()
-			defer pmu.Unlock()
-			if err != nil {
-				for _, sub := range g.subs {
-					unavailable = append(unavailable, sub.Cell)
-				}
-				lastCause = err
-				return
-			}
-			for cell, acc := range accs {
-				partials[cell] = acc
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	if localErr != nil {
-		return geoblocks.Result{}, localErr
-	}
-	if len(unavailable) > 0 {
-		c.unavailable.Add(1)
-		sort.Slice(unavailable, func(i, j int) bool { return unavailable[i] < unavailable[j] })
-		return geoblocks.Result{}, &UnavailableError{Dataset: name, Shards: unavailable, Cause: lastCause}
-	}
-
-	// Gather: merge in ascending shard order (subs is already sorted —
-	// ShardSubs walks the shard slice in order).
-	total := partials[subs[0].Cell]
-	for _, sub := range subs[1:] {
-		if err := total.MergeFrom(partials[sub.Cell]); err != nil {
-			return geoblocks.Result{}, err
-		}
-	}
-	res := total.Result()
-	res.Level = plan.Level
-	res.ErrorBound = plan.ErrorBound
-	return res, nil
-}
-
-// owns reports whether this node is anywhere in the replica chain — if
-// so the shard is answered locally (never an RPC to self).
-func (c *Coordinator) owns(chain []Node) bool {
-	if c.self == "" {
+// Local reports whether this node is anywhere in the shard's replica
+// chain — if so the shard is answered in process (never an RPC to self)
+// and counted as one local task.
+func (s *scatter) Local(cell cellid.ID) bool {
+	if s.c.self == "" {
 		return false
 	}
-	for _, n := range chain {
-		if n.Name == c.self {
+	for _, n := range s.assign.Owners(cell) {
+		if n.Name == s.c.self {
+			s.c.localParts.Add(1)
 			return true
 		}
 	}
 	return false
+}
+
+// request is one partial request: a replica chain and the indexes of
+// the subs it carries.
+type request struct {
+	chain []Node
+	subs  []int
+	cells int
+}
+
+// Run groups the parts by replica chain, packs each chain's parts in
+// shard order into requests of at most maxRequestCells cells, and sends
+// them with at most maxPeerConns in flight. Every failed request adds
+// its shards to one UnavailableError.
+func (s *scatter) Run(lvl int, subs []store.ShardSub, accs []*geoblocks.Accumulator) error {
+	var requests []*request
+	open := make(map[string]*request) // each chain's request being filled
+	var chain []Node
+	var key string
+	for i, sub := range subs {
+		if i == 0 || sub.Cell != subs[i-1].Cell {
+			chain = s.assign.Owners(sub.Cell)
+			key = chainKey(chain)
+		}
+		r := open[key]
+		if r == nil || r.cells+len(sub.Sub) > maxRequestCells {
+			r = &request{chain: chain}
+			open[key] = r
+			requests = append(requests, r)
+		}
+		r.subs = append(r.subs, i)
+		r.cells += len(sub.Sub)
+	}
+
+	var (
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		failed []cellid.ID
+		cause  error
+	)
+	slots := make(chan struct{}, maxPeerConns)
+	for _, r := range requests {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-slots; wg.Done() }()
+			if err := s.fetch(lvl, r, subs, accs); err != nil {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, i := range r.subs {
+					failed = append(failed, subs[i].Cell)
+				}
+				cause = err
+			}
+		}()
+	}
+	wg.Wait()
+	if len(failed) == 0 {
+		return nil
+	}
+	s.c.unavailable.Add(1)
+	slices.Sort(failed)
+	return &UnavailableError{Dataset: s.d.Name(), Shards: slices.Compact(failed), Cause: cause}
 }
 
 func chainKey(chain []Node) string {
@@ -392,53 +348,57 @@ func chainKey(chain []Node) string {
 	return strings.Join(names, ",")
 }
 
-// fetchGroup sends one replica-chain group's shards to its peers and
-// decodes the winning response into per-shard accumulators. Decode
-// validates the envelope (dataset, epoch, level, exact shard echo)
-// before parsing frames, so a confused peer counts as a failed replica
-// rather than contaminating the merge.
-func (c *Coordinator) fetchGroup(ctx context.Context, d *store.Dataset, name string, assign *Assignment, plan store.Plan, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest, g *remoteGroup) (map[cellid.ID]*geoblocks.Accumulator, error) {
+// fetch sends one request to its replica chain and decodes the winning
+// response into the accumulators of its subs. Decode validates the
+// envelope (dataset, epoch, level, exact shard echo) before parsing
+// frames, so a confused peer counts as a failed replica rather than
+// contaminating the merge.
+func (s *scatter) fetch(lvl int, r *request, subs []store.ShardSub, accs []*geoblocks.Accumulator) error {
+	s.c.remoteCalls.Add(1)
 	req := &PartialRequest{
-		Dataset:      name,
+		Dataset:      s.d.Name(),
 		CodecVersion: CodecVersion,
-		Epoch:        assign.Epoch(),
-		Level:        plan.Level,
-		Aggs:         AggsFromRequests(reqs),
-		Shards:       make([]ShardReq, len(g.subs)),
-		NoCache:      opts.DisableCache,
+		Epoch:        s.assign.Epoch(),
+		Level:        lvl,
+		Aggs:         AggsFromRequests(s.reqs),
+		Shards:       make([]ShardReq, len(r.subs)),
+		NoCache:      s.opts.DisableCache,
 	}
-	for i, sub := range g.subs {
-		req.Shards[i] = ShardReq{Cell: CellToken(sub.Cell), Cover: EncodeCells(sub.Sub)}
+	for k, i := range r.subs {
+		req.Shards[k] = ShardReq{Cell: CellToken(subs[i].Cell), Cover: EncodeCells(subs[i].Sub)}
 	}
 	decode := func(pr *PartialResponse) (any, error) {
-		if pr.Dataset != name {
-			return nil, fmt.Errorf("peer answered for dataset %q, asked %q", pr.Dataset, name)
+		if pr.Dataset != req.Dataset {
+			return nil, fmt.Errorf("peer answered for dataset %q, asked %q", pr.Dataset, req.Dataset)
 		}
 		if pr.Epoch != req.Epoch {
 			return nil, fmt.Errorf("peer answered under epoch %d, asked %d", pr.Epoch, req.Epoch)
 		}
-		if pr.Level != plan.Level {
-			return nil, fmt.Errorf("peer answered at level %d, asked %d", pr.Level, plan.Level)
+		if pr.Level != lvl {
+			return nil, fmt.Errorf("peer answered at level %d, asked %d", pr.Level, lvl)
 		}
-		if len(pr.Shards) != len(g.subs) {
-			return nil, fmt.Errorf("peer answered %d shards, asked %d", len(pr.Shards), len(g.subs))
+		if len(pr.Shards) != len(req.Shards) {
+			return nil, fmt.Errorf("peer answered %d shards, asked %d", len(pr.Shards), len(req.Shards))
 		}
-		accs := make(map[cellid.ID]*geoblocks.Accumulator, len(pr.Shards))
-		for i, sp := range pr.Shards {
-			if sp.Cell != req.Shards[i].Cell {
-				return nil, fmt.Errorf("peer shard %d is %s, asked %s", i, sp.Cell, req.Shards[i].Cell)
+		got := make([]*geoblocks.Accumulator, len(pr.Shards))
+		for k, sp := range pr.Shards {
+			if sp.Cell != req.Shards[k].Cell {
+				return nil, fmt.Errorf("peer shard %d is %s, asked %s", k, sp.Cell, req.Shards[k].Cell)
 			}
-			acc, err := d.DecodePartial(sp.Partial, reqs)
+			acc, err := s.d.DecodePartial(sp.Partial, s.reqs)
 			if err != nil {
 				return nil, fmt.Errorf("shard %s partial: %w", sp.Cell, err)
 			}
-			accs[g.subs[i].Cell] = acc
+			got[k] = acc
 		}
-		return accs, nil
+		return got, nil
 	}
-	val, err := c.client.Fetch(ctx, g.chain, req, decode)
+	val, err := s.c.client.Fetch(s.ctx, r.chain, req, decode)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return val.(map[cellid.ID]*geoblocks.Accumulator), nil
+	for k, acc := range val.([]*geoblocks.Accumulator) {
+		accs[r.subs[k]] = acc
+	}
+	return nil
 }

@@ -377,10 +377,11 @@ func TestFaultUnavailable(t *testing.T) {
 	fc.queryBoth(t, "after full recovery")
 }
 
-// TestFaultJoinFanOutBounded: a cluster join executes its polygons through a
-// fixed worker pool, so a slow peer sees at most 16 of one join's
-// partial requests at once, not one per polygon; and a primary that
-// answers never starts a request to the replica behind it.
+// TestFaultJoinFanOutBounded: a cluster join packs its remote parts
+// into partial requests per replica chain and keeps at most 16 of them
+// in flight, so a slow peer sees at most 16 of one join's requests at
+// once, not one per polygon; and a primary that answers never starts a
+// request to the replica behind it.
 func TestFaultJoinFanOutBounded(t *testing.T) {
 	fc := startFaultCluster(t, 3000, func(c *cluster.Config) { c.Retries = -1 })
 	for _, p := range fc.proxies {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -177,5 +178,88 @@ func TestClusterJoinUnknownDataset(t *testing.T) {
 	poly := geoblocks.RegularPolygon(geom.Pt(50, 50), 10, 6)
 	if _, _, err := tc.coord().Join(context.Background(), "nope", []*geom.Polygon{poly}, geoblocks.QueryOptions{}, testReqs); err == nil {
 		t.Fatal("join against unknown dataset succeeded")
+	}
+}
+
+// TestClusterWindowJoin: a window join through the coordinator is a rect
+// join, answered tile by tile exactly like the single-node JoinRects —
+// counts, values, level, error bound and the covering pair counts —
+// in process and over /v1/join.
+func TestClusterWindowJoin(t *testing.T) {
+	const rows = 8_000
+	opts := store.Options{Level: 12, ShardLevel: 2}
+	control := buildDataset(t, rows, 7, opts)
+	tc := startCluster(t, 3, 2, rows, 7, opts, nil)
+
+	// The tiles of a 3x2 window over [0,100]², laid out as /v1/join lays
+	// them out, then two more rects.
+	var tiles []geom.Rect
+	dx, dy := 100.0/3, 100.0/2
+	for iy := 0; iy < 2; iy++ {
+		for ix := 0; ix < 3; ix++ {
+			tiles = append(tiles, geom.Rect{
+				Min: geom.Pt(float64(ix)*dx, float64(iy)*dy),
+				Max: geom.Pt(float64(ix+1)*dx, float64(iy+1)*dy),
+			})
+		}
+	}
+	rects := append(slices.Clone(tiles),
+		geom.Rect{Min: geom.Pt(20, 60), Max: geom.Pt(40, 80)},
+		geom.Rect{Min: geom.Pt(10, 10), Max: geom.Pt(30, 30)})
+
+	wants, wantStats, err := control.JoinRects(rects, geoblocks.QueryOptions{}, testReqs...)
+	if err != nil {
+		t.Fatalf("single-node join: %v", err)
+	}
+	gots, stats, err := tc.coord().JoinRects(context.Background(), "taxi", rects, geoblocks.QueryOptions{}, testReqs)
+	if err != nil {
+		t.Fatalf("cluster join: %v", err)
+	}
+	for i := range gots {
+		assertSame(t, gots[i], wants[i], fmt.Sprintf("rect %d", i))
+	}
+	if stats.InteriorPairs != wantStats.InteriorPairs || stats.BoundaryPairs != wantStats.BoundaryPairs {
+		t.Errorf("cluster pairs %d/%d, single-node %d/%d", stats.InteriorPairs, stats.BoundaryPairs, wantStats.InteriorPairs, wantStats.BoundaryPairs)
+	}
+
+	wants, wantStats, err = control.JoinRects(tiles, geoblocks.QueryOptions{}, testReqs...)
+	if err != nil {
+		t.Fatalf("single-node window: %v", err)
+	}
+	body := `{"dataset":"taxi","window":{"rect":[0,0,100,100],"nx":3,"ny":2},"aggs":[` +
+		`{"func":"count"},{"func":"sum","col":"ival"},{"func":"min","col":"fval"},{"func":"max","col":"fval"},{"func":"avg","col":"ival"}]}`
+	resp, err := http.Post(tc.nodes[0].srv.URL+"/v1/join", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST window join: %v", err)
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("window status %d: %s", resp.StatusCode, data)
+	}
+	var wr struct {
+		Results []struct {
+			Count      uint64    `json:"count"`
+			Values     []float64 `json:"values"`
+			Level      int       `json:"level"`
+			ErrorBound float64   `json:"error_bound"`
+		} `json:"results"`
+		Stats struct {
+			InteriorPairs int `json:"interior_pairs"`
+			BoundaryPairs int `json:"boundary_pairs"`
+		} `json:"stats"`
+	}
+	if err := json.Unmarshal(data, &wr); err != nil {
+		t.Fatalf("unmarshal window: %v", err)
+	}
+	if len(wr.Results) != len(tiles) {
+		t.Fatalf("3x2 window answered %d results", len(wr.Results))
+	}
+	for i, r := range wr.Results {
+		got := geoblocks.Result{Count: r.Count, Values: r.Values, Level: r.Level, ErrorBound: r.ErrorBound}
+		assertSame(t, got, wants[i], fmt.Sprintf("window tile %d", i))
+	}
+	if wr.Stats.InteriorPairs != wantStats.InteriorPairs || wr.Stats.BoundaryPairs != wantStats.BoundaryPairs {
+		t.Errorf("window pairs %d/%d over HTTP, single-node %d/%d", wr.Stats.InteriorPairs, wr.Stats.BoundaryPairs, wantStats.InteriorPairs, wantStats.BoundaryPairs)
 	}
 }

@@ -56,7 +56,8 @@ func AggsFromRequests(reqs []geoblocks.AggRequest) []AggJSON {
 }
 
 // ShardReq is one scatter unit on the wire: a shard prefix cell and the
-// sub-covering it must answer, as hex cell tokens.
+// sub-covering it must answer, as hex cell tokens. A request repeats a
+// shard once per region routed there.
 type ShardReq struct {
 	Cell  string   `json:"cell"`
 	Cover []string `json:"cover"`
@@ -85,16 +86,14 @@ type ShardPartialResp struct {
 }
 
 // PartialResponse is the success body of POST /internal/v1/partial.
-// Shards echo the request order. Level echoes the executed grid level;
-// ErrorBound is the guaranteed bound of the union of the request's
-// sub-coverings (informational — the coordinator derives the query-wide
-// bound from its own full covering).
+// Shards echo the request order; Level echoes the executed grid level.
+// The coordinator derives each region's error bound from its own
+// covering.
 type PartialResponse struct {
-	Dataset    string             `json:"dataset"`
-	Epoch      uint64             `json:"epoch"`
-	Level      int                `json:"level"`
-	ErrorBound float64            `json:"error_bound"`
-	Shards     []ShardPartialResp `json:"shards"`
+	Dataset string             `json:"dataset"`
+	Epoch   uint64             `json:"epoch"`
+	Level   int                `json:"level"`
+	Shards  []ShardPartialResp `json:"shards"`
 }
 
 // Error codes carried in peer error bodies (httpapi errorResponse.Code),

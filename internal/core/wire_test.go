@@ -20,7 +20,7 @@ var wireSpecs = []AggSpec{
 
 // partialFor runs a covering partial over the fixture's hotspot, giving a
 // non-trivial accumulator state to round-trip.
-func partialFor(t *testing.T, b *GeoBlock, f *testFixture) *Accumulator {
+func partialFor(t testing.TB, b *GeoBlock, f *testFixture) *Accumulator {
 	t.Helper()
 	c := cover.MustCoverer(f.dom, cover.DefaultOptions(12))
 	cov := c.CoverRect(geom.Rect{Min: geom.Pt(20, 30), Max: geom.Pt(45, 55)}).Cells
@@ -97,13 +97,17 @@ func TestPartialRoundTripIdentity(t *testing.T) {
 	}
 }
 
-// TestDecodePartialMalformed is the corruption table: every damaged frame
-// must be rejected with a typed error, never decoded into garbage.
-func TestDecodePartialMalformed(t *testing.T) {
-	f := newFixture(t, 1000, 5)
-	b := f.build(t, 12, nil)
-	frame := partialFor(t, b, f).EncodePartial()
+// partialCase is one damaged frame and the typed error its decode must
+// return.
+type partialCase struct {
+	name  string
+	frame []byte
+	want  error
+}
 
+// malformedPartials is the corruption table over a valid frame of
+// wireSpecs.
+func malformedPartials(frame []byte) []partialCase {
 	damage := func(mut func(fr []byte) []byte) []byte {
 		cp := append([]byte(nil), frame...)
 		return mut(cp)
@@ -114,12 +118,7 @@ func TestDecodePartialMalformed(t *testing.T) {
 		binary.LittleEndian.PutUint32(fr[len(fr)-4:], CRC32C(fr[:len(fr)-4]))
 		return fr
 	}
-
-	cases := []struct {
-		name  string
-		frame []byte
-		want  error
-	}{
+	return []partialCase{
 		{"empty", nil, ErrCorrupt},
 		{"truncated header", frame[:6], ErrCorrupt},
 		{"truncated body", frame[:len(frame)-9], ErrCorrupt},
@@ -140,7 +139,16 @@ func TestDecodePartialMalformed(t *testing.T) {
 			return refix(fr)
 		}), ErrCorrupt},
 	}
-	for _, tc := range cases {
+}
+
+// TestDecodePartialMalformed is the corruption table: every damaged frame
+// must be rejected with a typed error, never decoded into garbage.
+func TestDecodePartialMalformed(t *testing.T) {
+	f := newFixture(t, 1000, 5)
+	b := f.build(t, 12, nil)
+	frame := partialFor(t, b, f).EncodePartial()
+
+	for _, tc := range malformedPartials(frame) {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := b.DecodePartial(tc.frame, wireSpecs); !errors.Is(err, tc.want) {
 				t.Errorf("decode = %v, want errors.Is(%v)", err, tc.want)
@@ -156,4 +164,44 @@ func TestDecodePartialMalformed(t *testing.T) {
 	if _, err := b.DecodePartial(frame, []AggSpec{{Func: AggSum, Col: 99}}); err == nil {
 		t.Error("decode with out-of-range column spec succeeded")
 	}
+}
+
+// FuzzDecodePartial feeds arbitrary GBP1 frames to the decoder. The
+// trailing CRC32C is recomputed over the fuzzed bytes first, so the
+// fuzzer reaches the parser behind the checksum. A frame must decode to
+// a typed error (ErrCorrupt, ErrVersion) or to an accumulator whose own
+// frame decodes back to a bit-identical Result; it must never panic.
+func FuzzDecodePartial(f *testing.F) {
+	fx := newFixture(f, 1000, 5)
+	b := fx.build(f, 12, nil)
+	frame := partialFor(f, b, fx).EncodePartial()
+	f.Add(frame)
+	for _, tc := range malformedPartials(frame) {
+		f.Add(tc.frame)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = append([]byte(nil), data...)
+		if len(data) >= 4 {
+			binary.LittleEndian.PutUint32(data[len(data)-4:], CRC32C(data[:len(data)-4]))
+		}
+		acc, err := b.DecodePartial(data, wireSpecs)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
+				t.Fatalf("decode error %v is neither ErrCorrupt nor ErrVersion", err)
+			}
+			return
+		}
+		again, err := b.DecodePartial(acc.EncodePartial(), wireSpecs)
+		if err != nil {
+			t.Fatalf("re-encoded frame does not decode: %v", err)
+		}
+		got, want := again.Result(), acc.Result()
+		same := got.Count == want.Count && got.CellsVisited == want.CellsVisited && len(got.Values) == len(want.Values)
+		for i := 0; same && i < len(got.Values); i++ {
+			same = math.Float64bits(got.Values[i]) == math.Float64bits(want.Values[i])
+		}
+		if !same {
+			t.Fatalf("round trip changed the result: %+v, want %+v", got, want)
+		}
+	})
 }

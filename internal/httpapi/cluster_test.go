@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -105,6 +106,61 @@ func TestPartialEndpointRoundTrip(t *testing.T) {
 		if v != want.Values[i] {
 			t.Errorf("merged value[%d] = %v, want %v", i, v, want.Values[i])
 		}
+	}
+}
+
+// TestPartialEndpointRepeatedShard: a request may name one shard once
+// per region routed there. Each entry answers its own cover, in request
+// order, bit for bit as ShardPartial of that cover alone — also when
+// the entries are not in shard order.
+func TestPartialEndpointRepeatedShard(t *testing.T) {
+	ts, d := clusterTestServer(t)
+	rect := geom.Rect{Min: geom.Pt(-74.05, 40.60), Max: geom.Pt(-73.85, 40.85)}
+	reqs := []geoblocks.AggRequest{geoblocks.Count(), geoblocks.Sum("fare_amount"), geoblocks.Min("fare_amount")}
+	plan := d.PlanCoverRect(rect, 0)
+	subs := d.ShardSubs(plan.Cover)
+	if len(subs) < 2 || len(subs[1].Sub) < 2 {
+		t.Fatalf("rect split into %d shards; the case needs two, the second with several cells", len(subs))
+	}
+	// The second shard twice, with its full cover and with half of it,
+	// around the first shard.
+	entries := []store.ShardSub{subs[1], subs[0], {Cell: subs[1].Cell, Sub: subs[1].Sub[:len(subs[1].Sub)/2]}}
+	preq := cluster.PartialRequest{
+		Dataset:      "taxi",
+		CodecVersion: cluster.CodecVersion,
+		Epoch:        7,
+		Level:        plan.Level,
+		Aggs:         cluster.AggsFromRequests(reqs),
+		NoCache:      true,
+	}
+	for _, e := range entries {
+		preq.Shards = append(preq.Shards, cluster.ShardReq{Cell: cluster.CellToken(e.Cell), Cover: cluster.EncodeCells(e.Sub)})
+	}
+	resp, data := postJSON(t, ts, "/internal/v1/partial", marshal(t, preq))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, body %s", resp.StatusCode, data)
+	}
+	var pr cluster.PartialResponse
+	if err := json.Unmarshal(data, &pr); err != nil {
+		t.Fatalf("decoding response: %v", err)
+	}
+	if len(pr.Shards) != len(entries) {
+		t.Fatalf("answered %d partials for %d entries", len(pr.Shards), len(entries))
+	}
+	for i, e := range entries {
+		if pr.Shards[i].Cell != preq.Shards[i].Cell {
+			t.Errorf("entry %d echoed %s, want %s", i, pr.Shards[i].Cell, preq.Shards[i].Cell)
+		}
+		acc, err := d.ShardPartial(e.Cell, e.Sub, plan.Level, geoblocks.QueryOptions{DisableCache: true}, reqs)
+		if err != nil {
+			t.Fatalf("ShardPartial %d: %v", i, err)
+		}
+		if want := acc.EncodePartial(); !bytes.Equal(pr.Shards[i].Partial, want) {
+			t.Errorf("entry %d: partial differs from ShardPartial of its cover", i)
+		}
+	}
+	if bytes.Equal(pr.Shards[0].Partial, pr.Shards[2].Partial) {
+		t.Errorf("the repeated shard's two covers answered the same partial")
 	}
 }
 

@@ -324,13 +324,26 @@ func parsePolygons(rings [][][2]float64) ([]*geom.Polygon, error) {
 	return polys, nil
 }
 
-// queryStatus maps a query error to an HTTP status: schema errors are the
-// caller's fault.
-func queryStatus(err error) int {
-	if errors.Is(err, geoblocks.ErrUnknownColumn) {
-		return http.StatusBadRequest
+// writeQueryError maps the error of a query, batch or join, answered
+// here or through the cluster coordinator, onto a typed HTTP answer: a
+// starved shard is a 503 naming the shards, schema errors are the
+// caller's fault. op names the request in the message.
+func writeQueryError(w http.ResponseWriter, op string, err error) {
+	var ue *cluster.UnavailableError
+	switch {
+	case errors.As(err, &ue):
+		toks := make([]string, len(ue.Shards))
+		for i, c := range ue.Shards {
+			toks[i] = cluster.CellToken(c)
+		}
+		writeTypedError(w, http.StatusServiceUnavailable, cluster.CodeUnavailable, toks, "%s: %v", op, err)
+	case errors.Is(err, cluster.ErrUnknownDataset):
+		writeTypedError(w, http.StatusNotFound, cluster.CodeUnknownDataset, nil, "%s: %v", op, err)
+	case errors.Is(err, geoblocks.ErrUnknownColumn):
+		writeError(w, http.StatusBadRequest, "%s: %v", op, err)
+	default:
+		writeError(w, http.StatusInternalServerError, "%s: %v", op, err)
 	}
-	return http.StatusInternalServerError
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -386,9 +399,11 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if s.cfg.Coordinator && s.cfg.Cluster != nil {
-		s.handleClusterQuery(w, r, req, opts, reqs)
-		return
+	// A coordinator answers through the cluster: the store's executor on
+	// its own copy, the parts on remote shards sent to peers.
+	co := s.cfg.Cluster
+	if !s.cfg.Coordinator {
+		co = nil
 	}
 
 	start := time.Now()
@@ -400,9 +415,14 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "polygon: %v", err)
 			return
 		}
-		res, err := d.QueryOpts(poly, opts, reqs...)
+		var res geoblocks.Result
+		if co != nil {
+			res, err = co.Query(r.Context(), req.Dataset, poly, opts, reqs)
+		} else {
+			res, err = d.QueryOpts(poly, opts, reqs...)
+		}
 		if err != nil {
-			writeError(w, queryStatus(err), "query: %v", err)
+			writeQueryError(w, "query", err)
 			return
 		}
 		rj := toResultJSON(res)
@@ -413,9 +433,14 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "rect: min exceeds max")
 			return
 		}
-		res, err := d.QueryRectOpts(rc, opts, reqs...)
+		var res geoblocks.Result
+		if co != nil {
+			res, err = co.QueryRect(r.Context(), req.Dataset, rc, opts, reqs)
+		} else {
+			res, err = d.QueryRectOpts(rc, opts, reqs...)
+		}
 		if err != nil {
-			writeError(w, queryStatus(err), "query: %v", err)
+			writeQueryError(w, "query", err)
 			return
 		}
 		rj := toResultJSON(res)
@@ -426,9 +451,14 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		results, err := d.QueryBatchOpts(polys, opts, reqs...)
+		var results []geoblocks.Result
+		if co != nil {
+			results, err = co.QueryBatch(r.Context(), req.Dataset, polys, opts, reqs)
+		} else {
+			results, err = d.QueryBatchOpts(polys, opts, reqs...)
+		}
 		if err != nil {
-			writeError(w, queryStatus(err), "query: %v", err)
+			writeQueryError(w, "query", err)
 			return
 		}
 		resp.Results = make([]resultJSON, len(results))

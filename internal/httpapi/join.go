@@ -159,62 +159,35 @@ func (s *server) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if s.cfg.Coordinator && s.cfg.Cluster != nil {
-		s.handleClusterJoin(w, r, req, opts, reqs)
-		return
+	// A coordinator runs the same join through the cluster: the store's
+	// executor on its own copy, the parts on remote shards sent to peers.
+	co := s.cfg.Cluster
+	if !s.cfg.Coordinator {
+		co = nil
 	}
-
 	start := time.Now()
 	var results []geoblocks.Result
 	var stats store.JoinStats
 	if req.Window != nil {
-		results, stats, err = d.JoinRects(req.Window.rects(), opts, reqs...)
+		if co != nil {
+			results, stats, err = co.JoinRects(r.Context(), req.Dataset, req.Window.rects(), opts, reqs)
+		} else {
+			results, stats, err = d.JoinRects(req.Window.rects(), opts, reqs...)
+		}
 	} else {
 		polys, perr := parsePolygons(req.Polygons)
 		if perr != nil {
 			writeError(w, http.StatusBadRequest, "%v", perr)
 			return
 		}
-		results, stats, err = d.Join(polys, opts, reqs...)
-	}
-	if err != nil {
-		writeError(w, queryStatus(err), "join: %v", err)
-		return
-	}
-	resp := joinResponse{
-		Dataset: req.Dataset,
-		Results: make([]resultJSON, len(results)),
-		Stats:   toJoinStatsJSON(stats),
-	}
-	for i, res := range results {
-		resp.Results[i] = toResultJSON(res)
-	}
-	resp.ElapsedUS = time.Since(start).Microseconds()
-	writeAppended(w, appendJoinResponse(nil, &resp))
-}
-
-// handleClusterJoin is handleJoin's cluster-mode tail: the coordinator
-// plans the join once and scatters each region's covering across the
-// peers. The window form joins the materialised tile outlines.
-func (s *server) handleClusterJoin(w http.ResponseWriter, r *http.Request, req joinRequest, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) {
-	start := time.Now()
-	var polys []*geom.Polygon
-	if req.Window != nil {
-		rects := req.Window.rects()
-		polys = make([]*geom.Polygon, len(rects))
-		for i, rc := range rects {
-			polys[i] = rc.Polygon()
-		}
-	} else {
-		var err error
-		if polys, err = parsePolygons(req.Polygons); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
+		if co != nil {
+			results, stats, err = co.Join(r.Context(), req.Dataset, polys, opts, reqs)
+		} else {
+			results, stats, err = d.Join(polys, opts, reqs...)
 		}
 	}
-	results, stats, err := s.cfg.Cluster.Join(r.Context(), req.Dataset, polys, opts, reqs)
 	if err != nil {
-		clusterErrStatus(w, err)
+		writeQueryError(w, "join", err)
 		return
 	}
 	resp := joinResponse{

@@ -475,7 +475,7 @@ func (d *Dataset) QueryRectOpts(r geom.Rect, opts geoblocks.QueryOptions, reqs .
 // single query allocates nothing for being a join of one.
 func (d *Dataset) queryOne(t target, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) (geoblocks.Result, error) {
 	ts := [1]target{t}
-	if _, err := d.execute(ts[:], 1, opts, reqs); err != nil {
+	if _, err := d.execute(ts[:], 1, opts, reqs, nil); err != nil {
 		return geoblocks.Result{}, err
 	}
 	return ts[0].res, nil

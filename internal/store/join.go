@@ -17,7 +17,8 @@ import (
 // This file is the approximate geospatial join operator — K polygons,
 // per-polygon aggregates, one request — and the store's one executor
 // (execute): a query is a join over one region, a batch
-// (QueryBatchOpts) is a join whose stats are dropped. The plan is
+// (QueryBatchOpts) is a join whose stats are dropped, and a cluster call
+// is a join whose remote parts a Remote runner answers. The plan is
 // shared: one pyramid level for the whole call, each distinct region
 // covered once by the same Cover (several in parallel, via
 // cover.CoverShared). Execution runs one task per involved shard: the
@@ -74,7 +75,7 @@ func (s JoinStats) InteriorFraction() float64 {
 // query caches, exactly as on a query. A successful call is folded into
 // the dataset's join counters.
 func (d *Dataset) Join(polys []*geom.Polygon, opts geoblocks.QueryOptions, reqs ...geoblocks.AggRequest) ([]geoblocks.Result, JoinStats, error) {
-	res, stats, err := d.polygonJoin(polys, opts, reqs)
+	res, stats, err := d.JoinVia(nil, polys, opts, reqs)
 	if err == nil {
 		d.NoteJoin(stats)
 	}
@@ -95,17 +96,22 @@ func (d *Dataset) QueryBatch(polys []*geom.Polygon, reqs ...geoblocks.AggRequest
 // achieved level plus its own covering's guaranteed error bound. Results
 // align positionally with polys; the join counters are left alone.
 func (d *Dataset) QueryBatchOpts(polys []*geom.Polygon, opts geoblocks.QueryOptions, reqs ...geoblocks.AggRequest) ([]geoblocks.Result, error) {
-	res, _, err := d.polygonJoin(polys, opts, reqs)
+	res, _, err := d.JoinVia(nil, polys, opts, reqs)
 	return res, err
 }
 
-// polygonJoin is the polygon path behind Join and QueryBatchOpts.
+// JoinVia is the polygon path behind Join, QueryBatchOpts and the
+// cluster coordinator. remote answers the parts on shards this node does
+// not serve; every single-node call passes nil and runs them all here.
+// A call with a remote runner bypasses the result cache, whose
+// generation cannot see ingest on the nodes the runner reaches. JoinVia
+// counts no join: Join, and the coordinator's Join, call NoteJoin.
 // Repeated polygons are deduplicated by exact ring content: each
 // distinct geometry is planned, covered and aggregated once, and its
 // result is replicated to every occurrence — identical to querying each
 // occurrence independently, because the whole pipeline is deterministic
 // in the polygon's content.
-func (d *Dataset) polygonJoin(polys []*geom.Polygon, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) ([]geoblocks.Result, JoinStats, error) {
+func (d *Dataset) JoinVia(remote Remote, polys []*geom.Polygon, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) ([]geoblocks.Result, JoinStats, error) {
 	ts := make([]target, 0, len(polys))
 	back := make([]int, len(polys))
 	seen := make(map[string]int, len(polys))
@@ -118,7 +124,7 @@ func (d *Dataset) polygonJoin(polys []*geom.Polygon, opts geoblocks.QueryOptions
 		}
 		back[i] = j
 	}
-	stats, err := d.execute(ts, len(polys), opts, reqs)
+	stats, err := d.execute(ts, len(polys), opts, reqs, remote)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -160,15 +166,23 @@ func appendRing(b []byte, ring []geom.Point) []byte {
 // JoinRects is Join over rectangles — the window/grid fast path (a batch
 // of map tiles or a rect-grid aggregation window).
 func (d *Dataset) JoinRects(rects []geom.Rect, opts geoblocks.QueryOptions, reqs ...geoblocks.AggRequest) ([]geoblocks.Result, JoinStats, error) {
+	res, stats, err := d.JoinRectsVia(nil, rects, opts, reqs)
+	if err == nil {
+		d.NoteJoin(stats)
+	}
+	return res, stats, err
+}
+
+// JoinRectsVia is JoinVia over rectangles, the path behind JoinRects.
+func (d *Dataset) JoinRectsVia(remote Remote, rects []geom.Rect, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) ([]geoblocks.Result, JoinStats, error) {
 	ts := make([]target, len(rects))
 	for i, r := range rects {
 		ts[i].rect = r
 	}
-	stats, err := d.execute(ts, len(rects), opts, reqs)
+	stats, err := d.execute(ts, len(rects), opts, reqs, remote)
 	if err != nil {
 		return nil, stats, err
 	}
-	d.NoteJoin(stats)
 	out := make([]geoblocks.Result, len(rects))
 	for i := range ts {
 		out[i] = ts[i].res
@@ -176,41 +190,30 @@ func (d *Dataset) JoinRects(rects []geom.Rect, opts geoblocks.QueryOptions, reqs
 	return out, stats, nil
 }
 
-// PlanJoin plans a join or a batch for the cluster coordinator: one
-// shared pyramid level, one covering per polygon (covered in parallel by
-// cover.CoverShared), one Plan per polygon. Every replica holding the
-// same build derives the identical plans, so a coordinator can scatter
-// each polygon's sub-coverings through the existing partial wire and
-// inherit the single-node merge contract. PlanJoin counts nothing: the
-// coordinator calls NoteJoin once a join succeeds.
-func (d *Dataset) PlanJoin(polys []*geom.Polygon, maxError float64) ([]Plan, JoinStats) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	lvl := d.PlanLevel(maxError)
-	c := d.covererAt(lvl)
-	regions := make([]cover.Region, len(polys))
-	for i, p := range polys {
-		regions[i] = p
-	}
-	sc := c.CoverShared(regions)
-	plans := make([]Plan, len(polys))
-	for i := range polys {
-		plans[i] = Plan{Level: lvl, Cover: sc.Covers[i].Cells, ErrorBound: sc.Bounds[i]}
-	}
-	stats := JoinStats{
-		Polygons:       len(polys),
-		UniquePolygons: len(polys),
-		Level:          lvl,
-		InteriorPairs:  sc.InteriorPairs,
-		BoundaryPairs:  sc.BoundaryPairs,
-	}
-	return plans, stats
+// Remote is the executor's seam for shards this node does not serve,
+// supplied by the cluster coordinator through JoinVia and JoinRectsVia;
+// every single-node path runs without one. The
+// executor asks Local once per shard it routed parts to: the parts on
+// local shards run as local tasks, the rest go to Run, on one goroutine,
+// while the local tasks run. Each region's partials then merge in
+// ascending shard order, local and remote alike.
+type Remote interface {
+	// Local reports whether this node answers the shard cell in process.
+	// It is called with the dataset read-locked, so it must not call
+	// back into the dataset.
+	Local(cell cellid.ID) bool
+	// Run answers every sub at grid level lvl, leaving the partial of
+	// subs[i] in accs[i], or fails. subs are in ascending shard order,
+	// a shard once per region routed there. The dataset is not locked
+	// while the executor waits for Run, so Run may call its methods
+	// (DecodePartial).
+	Run(lvl int, subs []ShardSub, accs []*geoblocks.Accumulator) error
 }
 
 // NoteJoin folds one join's stats into the dataset's cumulative
 // counters — called by Join and JoinRects, and by the cluster
-// coordinator, whose joins bypass those entry points. Batches are not
-// counted.
+// coordinator after a JoinVia or JoinRectsVia that is a join.
+// Batches are not counted.
 func (d *Dataset) NoteJoin(s JoinStats) {
 	d.joins.Add(1)
 	d.joinPolygons.Add(uint64(s.Polygons))
@@ -266,9 +269,10 @@ func (t *target) uncovered() bool { return !t.served && !t.covered }
 // and merge each target's partials in ascending shard order — the merge
 // tree of a sequential query. queries is the number of caller-visible
 // regions counted against the dataset (a join counts its repeats).
-// Targets covered on entry bypass the result cache. Answers land in
+// Targets covered on entry bypass the result cache, and so does a call
+// with a remote runner (nil on every single-node path). Answers land in
 // ts[i].res.
-func (d *Dataset) execute(ts []target, queries int, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) (JoinStats, error) {
+func (d *Dataset) execute(ts []target, queries int, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest, remote Remote) (JoinStats, error) {
 	if err := opts.Validate(); err != nil {
 		return JoinStats{}, err
 	}
@@ -283,7 +287,7 @@ func (d *Dataset) execute(ts []target, queries int, opts geoblocks.QueryOptions,
 	// ErrorBound derive from the covering alone, so replaying them after
 	// an invalidation is exact.
 	var gen uint64
-	if d.results != nil && !opts.DisableCache {
+	if d.results != nil && !opts.DisableCache && remote == nil {
 		tag := aggsTag(reqs)
 		gen = d.results.Generation()
 		for i := range ts {
@@ -365,9 +369,15 @@ func (d *Dataset) execute(ts []target, queries int, opts geoblocks.QueryOptions,
 		}
 	}
 	if len(ts) > 1 {
-		slices.SortStableFunc(parts, func(a, b queryPart) int { return cmp.Compare(a.shard.cell, b.shard.cell) })
+		slices.SortStableFunc(parts, byShard)
 	}
-	if err := runTasks(parts, lvl, opts, reqs); err != nil {
+	var err error
+	if remote == nil {
+		err = runTasks(parts, lvl, opts, reqs)
+	} else {
+		err = d.scatter(parts, lvl, opts, reqs, remote)
+	}
+	if err != nil {
 		return stats, err
 	}
 
@@ -389,6 +399,59 @@ func (d *Dataset) execute(ts []target, queries int, opts geoblocks.QueryOptions,
 		}
 	}
 	return stats, nil
+}
+
+// byShard orders parts by shard cell.
+func byShard(a, b queryPart) int { return cmp.Compare(a.shard.cell, b.shard.cell) }
+
+// scatter runs parts, sorted by shard, with a remote runner: the
+// identity parts and the parts on shards remote.Local claims run as
+// local tasks (runTasks), the rest go to remote.Run on one goroutine at
+// the same time, and every partial lands back in its part. A local error
+// wins over a remote one. The caller's read lock is dropped while the
+// remote parts finish: that wait is on the network, and a slow peer
+// must not hold up a fold's swap, nor every query queued behind it. Run
+// locks the dataset itself where it reads it (DecodePartial).
+func (d *Dataset) scatter(parts []queryPart, lvl int, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest, remote Remote) error {
+	local := make([]queryPart, 0, len(parts))
+	var subs []ShardSub
+	var localAt, remoteAt []int
+	var last *shard
+	isLocal := false
+	for i, p := range parts {
+		if len(p.sub) > 0 && p.shard != last {
+			last, isLocal = p.shard, remote.Local(p.shard.cell)
+		}
+		if len(p.sub) == 0 || isLocal {
+			local, localAt = append(local, p), append(localAt, i)
+		} else {
+			subs, remoteAt = append(subs, ShardSub{Cell: p.shard.cell, Sub: p.sub}), append(remoteAt, i)
+		}
+	}
+	accs := make([]*geoblocks.Accumulator, len(subs))
+	done := make(chan error, 1)
+	if len(subs) > 0 {
+		go func() { done <- remote.Run(lvl, subs, accs) }()
+	} else {
+		done <- nil
+	}
+	err := runTasks(local, lvl, opts, reqs)
+	d.mu.RUnlock()
+	rerr := <-done
+	d.mu.RLock()
+	if err == nil {
+		err = rerr
+	}
+	if err != nil {
+		return err
+	}
+	for j, i := range localAt {
+		parts[i].acc = local[j].acc
+	}
+	for j, i := range remoteAt {
+		parts[i].acc = accs[j]
+	}
+	return nil
 }
 
 // runTasks runs one task per shard of parts, which are sorted by shard:

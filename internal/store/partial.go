@@ -3,21 +3,23 @@ package store
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"geoblocks"
 	"geoblocks/internal/cellid"
 	"geoblocks/internal/geom"
 )
 
-// This file is the dataset's cluster face: the hooks a coordinator uses
-// to plan a query once and scatter its sub-coverings across nodes, and
-// the hook a peer uses to answer one shard's sub-covering as a partial
-// accumulator. Both sides of the wire go through the same per-shard
-// task as single-node queries (runTask: pin the shard, then blockPartial
-// — base block at the planned pyramid level, then the ingest delta, in
-// fixed order), so a cluster merge in ascending shard order reproduces
-// the single-node merge tree exactly — COUNT/MIN/MAX bit-identical, SUM
-// within the DESIGN.md Sec. 6 bound.
+// This file is the dataset's cluster face: the hook a peer uses to
+// answer shard sub-coverings as partial accumulators, and the planning
+// and decoding hooks around it. The coordinator itself runs the store's
+// executor (JoinVia, JoinRectsVia in join.go) with a Remote runner for
+// the shards it does not serve. Both sides of the wire go through the
+// same per-shard task as single-node queries (runTask: pin the shard,
+// then blockPartial — base block at the planned pyramid level, then the
+// ingest delta, in fixed order), so a cluster merge in ascending shard
+// order reproduces the single-node merge tree exactly — COUNT/MIN/MAX
+// bit-identical, SUM within the DESIGN.md Sec. 6 bound.
 
 // ErrUnknownShard reports a partial request naming a shard cell this
 // dataset does not carry (wrong shard level, or an assignment pointing
@@ -41,19 +43,10 @@ type Plan struct {
 	ErrorBound float64
 }
 
-// PlanCover plans a polygon query exactly like QueryOpts does: resolve
-// the pyramid level admitted by maxError, compute one covering at that
-// level, and report the covering's guaranteed error bound.
-func (d *Dataset) PlanCover(poly *geom.Polygon, maxError float64) Plan {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	lvl := d.PlanLevel(maxError)
-	c := d.covererAt(lvl)
-	cov := c.Cover(poly)
-	return Plan{Level: lvl, Cover: cov.Cells, ErrorBound: c.GuaranteedErrorDistance(cov)}
-}
-
-// PlanCoverRect is PlanCover over a rectangle.
+// PlanCoverRect plans a rectangle query exactly like QueryRectOpts
+// does: resolve the pyramid level admitted by maxError, compute one
+// covering at that level, and report the covering's guaranteed error
+// bound.
 func (d *Dataset) PlanCoverRect(r geom.Rect, maxError float64) Plan {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -64,9 +57,8 @@ func (d *Dataset) PlanCoverRect(r geom.Rect, maxError float64) Plan {
 }
 
 // ShardSubs splits a covering into per-shard sub-coverings in ascending
-// shard-cell order — the router's route() exposed for the coordinator,
-// which sends remote shards' entries over the wire and answers local
-// ones in process. An empty result means the covering misses every
+// shard-cell order — the router's route() exposed for tools that drive
+// ShardPartial by hand. An empty result means the covering misses every
 // shard (the identity answer).
 func (d *Dataset) ShardSubs(cov []cellid.ID) []ShardSub {
 	d.mu.RLock()
@@ -107,15 +99,10 @@ func (d *Dataset) ServesLevel(lvl int) bool {
 
 // CoveringBound returns the conservative guaranteed error bound of a
 // bare cell list (the diagonal of its coarsest cell, 0 when empty) —
-// the bound a peer reports for the sub-coverings it answered.
+// the bound QueryCovering reports.
 func (d *Dataset) CoveringBound(cov []cellid.ID) float64 {
 	return d.dom.MaxDiagonal(cov)
 }
-
-// NoteQuery counts one routed query against the dataset's stats — the
-// cluster coordinator's scatter-gather bypasses the Query entry points
-// that normally bump the counter.
-func (d *Dataset) NoteQuery() { d.queries.Add(1) }
 
 // AssignmentEpoch returns the cluster assignment epoch the dataset last
 // served under (0 outside cluster mode).
@@ -125,16 +112,17 @@ func (d *Dataset) AssignmentEpoch() uint64 { return d.assignEpoch.Load() }
 // later snapshot manifests.
 func (d *Dataset) SetAssignmentEpoch(epoch uint64) { d.assignEpoch.Store(epoch) }
 
-// ShardPartial answers one shard's sub-covering at the planned level as
-// a partial accumulator — the peer half of the cluster scatter-gather.
-// sub must be a sub-covering computed at level lvl (ascending, disjoint;
-// the coordinator derives it via PlanCover + ShardSubs on an identical
-// build). The partial includes the shard's pending ingest delta in the
-// same base-then-delta order as local queries, so a coordinator reading
-// its own writes through a peer still sees them. The returned
-// accumulator is bound to this dataset's shard block; encode it with
-// EncodePartial to put it on the wire.
-func (d *Dataset) ShardPartial(cell cellid.ID, sub []cellid.ID, lvl int, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) (*geoblocks.Accumulator, error) {
+// ShardPartials answers shard sub-coverings at the planned level as
+// partial accumulators — the peer half of the cluster scatter-gather.
+// Each sub must be a sub-covering computed at level lvl (ascending,
+// disjoint) on an identical build; a shard may repeat, once per region
+// routed there. Every involved shard runs one task, pinned once, as in a
+// local join, and accs align with subs. A partial includes the shard's
+// pending ingest delta in the same base-then-delta order as local
+// queries, so a coordinator reading its own writes through a peer still
+// sees them. The accumulators are bound to this dataset's shard blocks;
+// encode them with EncodePartial to put them on the wire.
+func (d *Dataset) ShardPartials(subs []ShardSub, lvl int, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) ([]*geoblocks.Accumulator, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -143,21 +131,39 @@ func (d *Dataset) ShardPartial(cell cellid.ID, sub []cellid.ID, lvl int, opts ge
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	i, ok := d.shardIndex(cell)
-	if !ok {
-		return nil, fmt.Errorf("%w: %v in dataset %q", ErrUnknownShard, cell, d.name)
+	parts := make([]queryPart, len(subs))
+	for i, s := range subs {
+		j, ok := d.shardIndex(s.Cell)
+		if !ok {
+			return nil, fmt.Errorf("%w: %v in dataset %q", ErrUnknownShard, s.Cell, d.name)
+		}
+		parts[i] = queryPart{shard: &d.shards[j], sub: s.Sub, region: i}
 	}
-	task := [1]queryPart{{shard: &d.shards[i], sub: sub}}
-	if err := runTask(task[:], lvl, opts, reqs); err != nil {
+	slices.SortStableFunc(parts, byShard)
+	if err := runTasks(parts, lvl, opts, reqs); err != nil {
 		return nil, err
 	}
-	return task[0].acc, nil
+	accs := make([]*geoblocks.Accumulator, len(subs))
+	for _, p := range parts {
+		accs[p.region] = p.acc
+	}
+	return accs, nil
+}
+
+// ShardPartial is ShardPartials of one shard's sub-covering.
+func (d *Dataset) ShardPartial(cell cellid.ID, sub []cellid.ID, lvl int, opts geoblocks.QueryOptions, reqs []geoblocks.AggRequest) (*geoblocks.Accumulator, error) {
+	accs, err := d.ShardPartials([]ShardSub{{Cell: cell, Sub: sub}}, lvl, opts, reqs)
+	if err != nil {
+		return nil, err
+	}
+	return accs[0], nil
 }
 
 // DecodePartial parses an accumulator frame produced by a peer's
-// ShardPartial + EncodePartial, bound to this dataset (same schema on
+// ShardPartials + EncodePartial, bound to this dataset (same schema on
 // every replica, so the spec signature check pins agreement). The
-// coordinator merges decoded partials with local ones in ascending
+// coordinator's Remote runner decodes each peer frame into its part's
+// slot, and the executor merges it with the local partials in ascending
 // shard order via Accumulator.MergeFrom.
 func (d *Dataset) DecodePartial(data []byte, reqs []geoblocks.AggRequest) (*geoblocks.Accumulator, error) {
 	d.mu.RLock()
