@@ -254,44 +254,57 @@ func coverDiffPolygons() []*geom.Polygon {
 }
 
 // TestCoverMatchesGolden pins Cover's output — cells, order, Interior
-// flags, truncation under tight budgets — to FNV-1a hashes taken from the
-// best-first heap implementation the level-order walk replaced. One hash
-// per MaxCells folds every MaxLevel x MinLevel x polygon covering.
+// flags, truncation under tight budgets — to FNV-1a hashes. One hash per
+// MaxCells x MinLevel folds every MaxLevel x polygon covering. They were
+// split from one hash per MaxCells, taken from the best-first heap
+// implementation the level-order walk replaced, on a walk that matched it.
 func TestCoverMatchesGolden(t *testing.T) {
+	var regions []Region
+	for _, p := range coverDiffPolygons() {
+		regions = append(regions, p)
+	}
+	checkGolden(t, regions, []golden{
+		{4, 0, 0x59062a290b0ae855}, {4, 3, 0x368e023cd1568f11},
+		{8, 0, 0xff0daac7e0ba8b7e}, {8, 3, 0x83f93f503b64da15},
+		{24, 0, 0x2c71d19fceb55b09}, {24, 3, 0x5b928372e54cf32},
+		{100, 0, 0xd2dd3c7307845ec8}, {100, 3, 0xf77fd31b9699aa58},
+		{500, 0, 0x3cac57782bc66daf}, {500, 3, 0x2b8989c4e9737b1c},
+		{2048, 0, 0xdcaf3dfa72e35d04}, {2048, 3, 0x36cb6599fda81e72},
+	})
+}
+
+// golden is one covering hash: every region covered at MaxLevel 6, 10,
+// 14 and 18 under one MaxCells and MinLevel.
+type golden struct {
+	maxCells, minLevel int
+	hash               uint64
+}
+
+// checkGolden hashes regions' coverings — each cell's id and Interior
+// flag, then a separator per covering — for every golden row and compares.
+func checkGolden(t *testing.T, regions []Region, rows []golden) {
+	t.Helper()
 	dom := testDomain()
-	polys := coverDiffPolygons()
-	for _, golden := range []struct {
-		maxCells int
-		hash     uint64
-	}{
-		{4, 0xf134e9451a3e6bb9},
-		{8, 0x64fbcad9908b9122},
-		{24, 0x611fcfd6ce1678f6},
-		{100, 0x3309ae1b6d9670b7},
-		{500, 0xc1bfbaf1650eb242},
-		{2048, 0x8c3e485a69dff729},
-	} {
+	for _, g := range rows {
 		h := fnv.New64a()
 		var buf [9]byte
 		for _, maxLevel := range []int{6, 10, 14, 18} {
-			for _, minLevel := range []int{0, 3} {
-				c := MustCoverer(dom, Options{MaxLevel: maxLevel, MinLevel: minLevel, MaxCells: golden.maxCells})
-				for _, p := range polys {
-					cov := c.Cover(p)
-					for i, id := range cov.Cells {
-						binary.LittleEndian.PutUint64(buf[:], uint64(id))
-						buf[8] = 0
-						if cov.Interior[i] {
-							buf[8] = 1
-						}
-						h.Write(buf[:])
+			c := MustCoverer(dom, Options{MaxLevel: maxLevel, MinLevel: g.minLevel, MaxCells: g.maxCells})
+			for _, rg := range regions {
+				cov := c.Cover(rg)
+				for i, id := range cov.Cells {
+					binary.LittleEndian.PutUint64(buf[:], uint64(id))
+					buf[8] = 0
+					if cov.Interior[i] {
+						buf[8] = 1
 					}
-					h.Write([]byte{0xff})
+					h.Write(buf[:])
 				}
+				h.Write([]byte{0xff})
 			}
 		}
-		if got := h.Sum64(); got != golden.hash {
-			t.Errorf("MaxCells=%d: covering hash %#x, golden %#x", golden.maxCells, got, golden.hash)
+		if got := h.Sum64(); got != g.hash {
+			t.Errorf("MaxCells=%d MinLevel=%d: covering hash %#x, golden %#x", g.maxCells, g.minLevel, got, g.hash)
 		}
 	}
 }
@@ -347,46 +360,18 @@ func holeRectRegions() []Region {
 
 // TestCoverHolesAndRectsMatchGolden pins what TestCoverMatchesGolden does
 // not reach: polygons with holes, a hole crossing its outer ring, and
-// rectangle regions. Same MaxLevel x MinLevel x MaxCells grid and hash
-// layout; the hashes were taken from the walk that decoded every cell's
+// rectangle regions. Same grid and hash layout; the hashes were split
+// the same way from ones taken from the walk that decoded every cell's
 // Hilbert id and sorted its output.
 func TestCoverHolesAndRectsMatchGolden(t *testing.T) {
-	dom := testDomain()
-	regions := holeRectRegions()
-	for _, golden := range []struct {
-		maxCells int
-		hash     uint64
-	}{
-		{4, 0x25fb276535b9b3fd},
-		{8, 0xfc36493ebe27ce9e},
-		{24, 0x5584e0733dcf324f},
-		{100, 0x311203eb59d89f5e},
-		{500, 0x4beccfc634e903a6},
-		{2048, 0x30bb9c99219bf6bb},
-	} {
-		h := fnv.New64a()
-		var buf [9]byte
-		for _, maxLevel := range []int{6, 10, 14, 18} {
-			for _, minLevel := range []int{0, 3} {
-				c := MustCoverer(dom, Options{MaxLevel: maxLevel, MinLevel: minLevel, MaxCells: golden.maxCells})
-				for _, rg := range regions {
-					cov := c.Cover(rg)
-					for i, id := range cov.Cells {
-						binary.LittleEndian.PutUint64(buf[:], uint64(id))
-						buf[8] = 0
-						if cov.Interior[i] {
-							buf[8] = 1
-						}
-						h.Write(buf[:])
-					}
-					h.Write([]byte{0xff})
-				}
-			}
-		}
-		if got := h.Sum64(); got != golden.hash {
-			t.Errorf("MaxCells=%d: covering hash %#x, golden %#x", golden.maxCells, got, golden.hash)
-		}
-	}
+	checkGolden(t, holeRectRegions(), []golden{
+		{4, 0, 0xaa0d02da892108b1}, {4, 3, 0xc4a6e9e64773ddad},
+		{8, 0, 0xe7018e5c111b450}, {8, 3, 0xd6e3677ae366ffc7},
+		{24, 0, 0x492a56b3736334c}, {24, 3, 0xf26df763c4e3695e},
+		{100, 0, 0xa421ccd3231c3ce0}, {100, 3, 0xb39a1713e7ced733},
+		{500, 0, 0x7e8f7c0bb44a2efb}, {500, 3, 0xc4104d7d5c9073b8},
+		{2048, 0, 0x2ae1fa51264e5647}, {2048, 3, 0xfc76dbee128dc081},
+	})
 }
 
 // diffCovering describes the first difference between got and want, or
