@@ -5,117 +5,54 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"geoblocks/internal/cellid"
 	"geoblocks/internal/geom"
 )
 
-// The coverer classifies a polygon cell by the two-step rule of
-// geom.Polygon.ClassifyRect over edge lists inherited down the walk. The
-// tests below check it against the body it replaced — four corner ray
-// casts, then edge walks — kept here as the oracle, on the shapes where
-// closed-rectangle predicates are fragile: vertices exactly on grid lines,
-// and vertices one ulp off them.
+// The coverer classifies a polygon cell by one rule — some ring edge
+// meets the closed cell ? boundary : interior iff a point of it is inside
+// — over edge lists inherited down the walk, with the point's side carried
+// from the parent. The tests below hold it to the same rule in exact
+// integer arithmetic (exactClassify), per cell and per covering, on the
+// shapes where closed-rectangle predicates are fragile: edges and corners
+// that touch, holes, vertices exactly on grid lines, and vertices one ulp
+// off them.
 
-// oracleClassify is the pre-edge-list geom.Polygon.ClassifyRect.
-func oracleClassify(p *geom.Polygon, r geom.Rect) geom.RectRelation {
-	if !p.Bound().Intersects(r) {
-		return geom.RectDisjoint
-	}
-	anyIn, anyOut := false, false
-	for _, c := range r.Vertices() {
-		if p.ContainsPoint(c) {
-			anyIn = true
-		} else {
-			anyOut = true
-		}
-		if anyIn && anyOut {
-			return geom.RectIntersects
-		}
-	}
-	if anyIn {
-		if p.Bound().ContainsRect(r) && !oracleRingMeets(p.Outer(), r) {
-			ok := true
-			for _, h := range p.Holes() {
-				if oracleRingMeets(h, r) || r.ContainsPoint(h[0]) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return geom.RectContains
-			}
-		}
-		return geom.RectIntersects
-	}
-	for _, v := range p.Outer() {
-		if r.ContainsPoint(v) {
-			return geom.RectIntersects
-		}
-	}
-	if oracleRingMeets(p.Outer(), r) {
-		return geom.RectIntersects
-	}
-	for _, h := range p.Holes() {
-		if oracleRingMeets(h, r) {
-			return geom.RectIntersects
-		}
-	}
-	return geom.RectDisjoint
-}
-
-func oracleRingMeets(ring []geom.Point, r geom.Rect) bool {
-	a := ring[len(ring)-1]
-	for _, b := range ring {
-		if geom.SegmentIntersectsRect(a, b, r) {
-			return true
-		}
-		a = b
-	}
-	return false
-}
-
-// oracleRegion covers a polygon through oracleClassify.
-type oracleRegion struct{ p *geom.Polygon }
-
-func (o oracleRegion) Bound() geom.Rect { return o.p.Bound() }
-func (o oracleRegion) ClassifyRect(r geom.Rect) geom.RectRelation {
-	return oracleClassify(o.p, r)
-}
-
-// fullRingRegion covers a polygon through geom.Polygon.ClassifyRect, so
-// every cell tests the whole ring instead of an inherited edge list.
-type fullRingRegion struct{ p *geom.Polygon }
-
-func (f fullRingRegion) Bound() geom.Rect { return f.p.Bound() }
-func (f fullRingRegion) ClassifyRect(r geom.Rect) geom.RectRelation {
-	return f.p.ClassifyRect(r)
-}
-
-// exactClassify is the two-step rule in exact rational arithmetic: some
-// ring edge meets the closed rect ? RectIntersects : r.Min inside (outer
-// ring and no hole, even-odd) ? RectContains : RectDisjoint.
-func exactClassify(p *geom.Polygon, r geom.Rect) geom.RectRelation {
+// exactClassify is the two-step rule in exact integer arithmetic: some
+// ring edge meets the closed rect ? boundary : r.Min inside (outer
+// ring and no hole, even-odd) ? interior : disjoint.
+func exactClassify(p *geom.Polygon, r geom.Rect) relation {
 	rings := append([][]geom.Point{p.Outer()}, p.Holes()...)
 	for _, ring := range rings {
 		a := ring[len(ring)-1]
 		for _, b := range ring {
 			if exactSegmentMeetsRect(a, b, r) {
-				return geom.RectIntersects
+				return boundary
 			}
 			a = b
 		}
 	}
 	if !exactRingContains(p.Outer(), r.Min) {
-		return geom.RectDisjoint
+		return disjoint
 	}
 	for _, h := range p.Holes() {
 		if exactRingContains(h, r.Min) {
-			return geom.RectDisjoint
+			return disjoint
 		}
 	}
-	return geom.RectContains
+	return interior
+}
+
+// wholeRing classifies r as the walk classifies its start cell: against
+// every edge, with no carried mask.
+func wholeRing(p *geom.Polygon, r geom.Rect) relation {
+	k := newClassifier(p, nil)
+	var out []int32
+	return k.classify(r, k.appendAll(nil), &out, unknownMask)
 }
 
 func rat(x float64) *big.Rat { return new(big.Rat).SetFloat64(x) }
@@ -132,18 +69,23 @@ func exactOrient(a, b, c geom.Point) int {
 			e0 = min(e0, e-53)
 		}
 	}
-	var v [6]*big.Int
+	v := orientScratch.Get().(*[10]big.Int)
+	defer orientScratch.Put(v)
 	for i, x := range xs {
 		m, e := math.Frexp(x)
-		v[i] = big.NewInt(int64(m * (1 << 53)))
+		v[i].SetInt64(int64(m * (1 << 53)))
 		if x != 0 {
-			v[i].Lsh(v[i], uint(e-53-e0))
+			v[i].Lsh(&v[i], uint(e-53-e0))
 		}
 	}
-	l := new(big.Int).Mul(new(big.Int).Sub(v[2], v[0]), new(big.Int).Sub(v[5], v[1]))
-	r := new(big.Int).Mul(new(big.Int).Sub(v[3], v[1]), new(big.Int).Sub(v[4], v[0]))
+	l := v[8].Mul(v[6].Sub(&v[2], &v[0]), v[7].Sub(&v[5], &v[1]))
+	r := v[9].Mul(v[6].Sub(&v[3], &v[1]), v[7].Sub(&v[4], &v[0]))
 	return l.Cmp(r)
 }
+
+// orientScratch holds exactOrient's integers, whose words are reused
+// across calls: the oracle runs on hundreds of thousands of cells.
+var orientScratch = sync.Pool{New: func() any { return new([10]big.Int) }}
 
 // ratOrient is the sign of (b−a) × (c−a) in plain rational arithmetic:
 // the determinant exactOrient's integer scaling must reproduce.
@@ -255,21 +197,17 @@ func exactSegmentMeetsRect(a, b geom.Point, r geom.Rect) bool {
 	return false
 }
 
-// exactRingContains is the even-odd ray cast with the crossing abscissa
-// computed exactly; pt must not lie on the ring.
+// exactRingContains is the even-odd ray cast, exact: an edge spanning
+// pt.Y half-open is crossed when pt.X lies below the crossing abscissa
+// a.X + (pt.Y−a.Y)/(b.Y−a.Y)·(b.X−a.X), which multiplied through by
+// b.Y−a.Y is exactOrient(a, b, pt) > 0 for an upward edge and < 0 for a
+// downward one. pt must not lie on the ring.
 func exactRingContains(ring []geom.Point, pt geom.Point) bool {
 	in := false
 	a := ring[len(ring)-1]
 	for _, b := range ring {
-		if (a.Y > pt.Y) != (b.Y > pt.Y) {
-			// xCross = a.X + (pt.Y−a.Y)/(b.Y−a.Y)·(b.X−a.X)
-			x := new(big.Rat).Sub(rat(pt.Y), rat(a.Y))
-			x.Mul(x, new(big.Rat).Sub(rat(b.X), rat(a.X)))
-			x.Quo(x, new(big.Rat).Sub(rat(b.Y), rat(a.Y)))
-			x.Add(x, rat(a.X))
-			if rat(pt.X).Cmp(x) < 0 {
-				in = !in
-			}
+		if (a.Y > pt.Y) != (b.Y > pt.Y) && (exactOrient(a, b, pt) > 0) == (b.Y > a.Y) {
+			in = !in
 		}
 		a = b
 	}
@@ -347,61 +285,55 @@ func forEachCell(dom cellid.Domain, dc diffCase, f func(r geom.Rect)) {
 	}
 }
 
-// TestClassifyMatchesOracle: on random-float and grid-snapped polygons,
-// over more than a million cells, the two-step rule equals the old
-// classification everywhere, and Cover equals a Cover classified by the
-// old body at three budgets.
-func TestClassifyMatchesOracle(t *testing.T) {
-	dom := testDomain()
-	cases := diffCases(dom, 1, 4000, false)
-	cells := 0
+// checkCells classifies every cell forEachCell visits as the walk's start
+// cell is classified (every edge, no carried mask) and holds it to exact
+// arithmetic: exactClassify on the cells some edge's box meets, and
+// ContainsPoint(r.Min) on the rest, which no edge can meet. It returns
+// the two counts.
+func checkCells(t *testing.T, dom cellid.Domain, cases []diffCase) (exact, point int) {
+	t.Helper()
+	var out []int32
 	for ci, dc := range cases {
+		k := newClassifier(dc.p, nil)
+		all := k.appendAll(nil)
 		forEachCell(dom, dc, func(r geom.Rect) {
-			cells++
-			if got, want := dc.p.ClassifyRect(r), oracleClassify(dc.p, r); got != want {
-				t.Fatalf("case %d (%v, level %d): ClassifyRect(%v) = %d, oracle %d", ci, dc.p, dc.level, r, got, want)
+			got := k.classify(r, all, &out, unknownMask)
+			out = out[:0]
+			want := disjoint
+			if slices.ContainsFunc(k.edges, func(e edge) bool { return e.bb.Intersects(r) }) {
+				exact++
+				want = exactClassify(dc.p, r)
+			} else if point++; dc.p.ContainsPoint(r.Min) {
+				want = interior
+			}
+			if got != want {
+				t.Fatalf("case %d (%v, level %d): classify(%v) = %d, exact %d", ci, dc.p, dc.level, r, got, want)
 			}
 		})
 	}
-	if cells < 1_000_000 {
-		t.Fatalf("classified %d cells, want at least 1M", cells)
-	}
-	t.Logf("%d cells, no disagreement with the old body", cells)
-	for _, maxCells := range []int{8, 100, 2048} {
-		for _, dc := range cases[:120] {
-			c := MustCoverer(dom, Options{MaxLevel: dc.level, MaxCells: maxCells})
-			assertSameCovering(t, "oracle", c.Cover(dc.p), c.Cover(oracleRegion{dc.p}))
-		}
-	}
+	return exact, point
 }
 
-// TestClassifyNudgedVertices: with vertices one ulp off grid lines, the
-// float predicates can disagree. Inherited edge lists must still give the
-// covering a whole-ring classification gives (in Cover and in
-// CoverShared), and wherever the two-step rule and
-// the old body disagree, exact arithmetic must side with the two-step
-// rule.
+// TestClassifyMatchesOracle: on random-float and grid-snapped polygons,
+// over more than a million cells, the walk's per-cell rule equals exact
+// arithmetic.
+func TestClassifyMatchesOracle(t *testing.T) {
+	dom := testDomain()
+	exact, point := checkCells(t, dom, diffCases(dom, 1, 4000, false))
+	if exact+point < 1_000_000 {
+		t.Fatalf("classified %d cells, want at least 1M", exact+point)
+	}
+	t.Logf("%d cells an edge's box meets equal exactClassify, %d others equal ContainsPoint", exact, point)
+}
+
+// TestClassifyNudgedVertices: with vertices one ulp off grid lines, where
+// float predicates can disagree, the per-cell rule still equals exact
+// arithmetic, and CoverShared still gives each region Cover's covering.
 func TestClassifyNudgedVertices(t *testing.T) {
 	dom := testDomain()
 	cases := diffCases(dom, 2, 400, true)
-	cells, disagree := 0, 0
-	for ci, dc := range cases {
-		forEachCell(dom, dc, func(r geom.Rect) {
-			cells++
-			got, old := dc.p.ClassifyRect(r), oracleClassify(dc.p, r)
-			if got == old {
-				return
-			}
-			disagree++
-			if exact := exactClassify(dc.p, r); exact != got {
-				t.Errorf("case %d (%v, level %d): ClassifyRect(%v) = %d, old body %d, exact %d",
-					ci, dc.p, dc.level, r, got, old, exact)
-			}
-		})
-		c := MustCoverer(dom, DefaultOptions(dc.level))
-		assertSameCovering(t, "full ring", c.Cover(dc.p), c.Cover(fullRingRegion{dc.p}))
-	}
-	t.Logf("%d cells, %d disagreements with the old body", cells, disagree)
+	exact, point := checkCells(t, dom, cases)
+	t.Logf("%d cells an edge's box meets equal exactClassify, %d others equal ContainsPoint", exact, point)
 	for level := 8; level <= 14; level++ {
 		var regions []Region
 		for _, dc := range cases {
@@ -416,18 +348,110 @@ func TestClassifyNudgedVertices(t *testing.T) {
 	}
 }
 
-// exactRegion covers a polygon through exactClassify, after the
-// bounding-box check geom.Polygon.ClassifyRect starts with: the covering
-// exact arithmetic gives.
+// TestClassifyCases: the rule on hand-picked rectangles — edges and
+// corners that touch, a rectangle engulfing the polygon, one inside or
+// across a hole, a concave notch, and vertices one ulp off a rectangle's
+// side. The walk's whole-ring classification and exactClassify must both
+// give the expected relation.
+func TestClassifyCases(t *testing.T) {
+	pt, up, down := geom.Pt, func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) },
+		func(x float64) float64 { return math.Nextafter(x, math.Inf(-1)) }
+	rect := func(x0, y0, x1, y1 float64) geom.Rect { return geom.Rect{Min: pt(x0, y0), Max: pt(x1, y1)} }
+	sq := geom.NewPolygon([]geom.Point{pt(0, 0), pt(10, 0), pt(10, 10), pt(0, 10)})
+	tri := geom.NewPolygon([]geom.Point{pt(0, 0), pt(8, 0), pt(4, 8)})
+	holed := geom.NewPolygon([]geom.Point{pt(0, 0), pt(10, 0), pt(10, 10), pt(0, 10)})
+	if err := holed.AddHole([]geom.Point{pt(4, 4), pt(6, 4), pt(6, 6), pt(4, 6)}); err != nil {
+		t.Fatal(err)
+	}
+	concave := geom.NewPolygon([]geom.Point{pt(0, 0), pt(12, 0), pt(12, 10), pt(6, 3), pt(0, 10)})
+	hyp := geom.NewPolygon([]geom.Point{pt(0, 0), pt(10, 0), pt(0, 10)})
+	left := geom.NewPolygon([]geom.Point{pt(0, 0), pt(down(10), 0), pt(down(10), 10), pt(0, 10)})
+	right := geom.NewPolygon([]geom.Point{pt(0, 0), pt(up(10), 0), pt(up(10), 10), pt(0, 10)})
+	for _, tc := range []struct {
+		name string
+		p    *geom.Polygon
+		r    geom.Rect
+		want relation
+	}{
+		{"square: inside", sq, rect(2, 2, 4, 4), interior},
+		{"square: on its ring", sq, rect(0, 0, 10, 10), boundary},
+		{"square: engulfed", sq, rect(-2, -2, 12, 12), boundary},
+		{"square: across a corner", sq, rect(8, 8, 12, 12), boundary},
+		{"square: edge touch from outside", sq, rect(10, 2, 12, 4), boundary},
+		{"square: corner touch", sq, rect(10, 10, 12, 12), boundary},
+		{"square: outside", sq, rect(11, 11, 12, 12), disjoint},
+		{"triangle: inside", tri, rect(3, 1, 5, 2), interior},
+		{"triangle: engulfed", tri, rect(-2, -2, 10, 10), boundary},
+		{"triangle: its bounding box", tri, rect(0, 0, 8, 8), boundary},
+		{"triangle: across the left edge", tri, rect(-2, 3, 2, 5), boundary},
+		{"triangle: across the left edge, low", tri, rect(-1, 1, 2, 2), boundary},
+		{"triangle: vertex touch", tri, rect(8, 0, 9, 1), boundary},
+		{"triangle: beside the apex", tri, rect(0, 7, 1, 8), disjoint},
+		{"triangle: outside, above", tri, rect(9, 9, 12, 12), disjoint},
+		{"triangle: outside, below", tri, rect(-4, -4, -1, -1), disjoint},
+		{"hole: clear of it", holed, rect(1, 1, 3, 3), interior},
+		{"hole: engulfed", holed, rect(3, 3, 7, 7), boundary},
+		{"hole: on its ring", holed, rect(4, 4, 6, 6), boundary},
+		{"hole: across its edge", holed, rect(3, 4.5, 5, 5.5), boundary},
+		{"hole: inside it", holed, rect(4.5, 4.5, 5.5, 5.5), disjoint},
+		{"concave: in the notch", concave, rect(5, 6, 7, 8), disjoint},
+		{"concave: below the notch", concave, rect(1, 1, 11, 2), interior},
+		{"concave: across the notch vertex", concave, rect(2, 2, 10, 5), boundary},
+		{"nudged: corner on the hypotenuse", hyp, rect(4, 4, 5, 5), boundary},
+		{"nudged: corner one ulp inside", hyp, rect(4, 4, 5, down(5)), interior},
+		{"nudged: corner one ulp outside", hyp, rect(5, up(5), 6, 6), disjoint},
+		{"nudged: side one ulp left of the rectangle", left, rect(10, 2, 12, 4), disjoint},
+		{"nudged: side one ulp inside the rectangle", right, rect(10, 2, 12, 4), boundary},
+	} {
+		if got := wholeRing(tc.p, tc.r); got != tc.want {
+			t.Errorf("%s: classify(%v) = %d, want %d", tc.name, tc.r, got, tc.want)
+		}
+		if got := exactClassify(tc.p, tc.r); got != tc.want {
+			t.Errorf("%s: exactClassify(%v) = %d, want %d", tc.name, tc.r, got, tc.want)
+		}
+	}
+}
+
+// TestClassifyRandomRects: on a convex, a concave and a holed polygon,
+// rectangles from slivers to ones engulfing the polygon get exact
+// arithmetic's relation, and sampled points agree with it: every point
+// of an interior rectangle is contained, and a rectangle holding a
+// contained point is not disjoint.
+func TestClassifyRandomRects(t *testing.T) {
+	pt := geom.Pt
+	convex := geom.NewPolygon([]geom.Point{pt(0, 0), pt(10, 1), pt(12, 7), pt(6, 11), pt(-1, 6)})
+	concave := geom.NewPolygon([]geom.Point{pt(0, 0), pt(12, 0), pt(12, 10), pt(6, 3), pt(0, 10)})
+	holed := geom.NewPolygon([]geom.Point{pt(0, 0), pt(12, 0), pt(12, 12), pt(0, 12)})
+	if err := holed.AddHole([]geom.Point{pt(4, 4), pt(8, 4), pt(8, 8), pt(4, 8)}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	counts := map[relation]int{}
+	for i := 0; i < 4000; i++ {
+		p := []*geom.Polygon{convex, concave, holed}[i%3]
+		x0, y0 := float64(rng.Intn(1<<16))/4096-2, float64(rng.Intn(1<<16))/4096-2
+		r := geom.Rect{Min: pt(x0, y0), Max: pt(x0+float64(rng.Intn(1<<16))/1024, y0+float64(rng.Intn(1<<16))/1024)}
+		got := wholeRing(p, r)
+		if want := exactClassify(p, r); got != want {
+			t.Fatalf("%v: classify(%v) = %d, exact %d", p, r, got, want)
+		}
+		counts[got]++
+		for k := 0; k < 16; k++ {
+			in := p.ContainsPoint(pt(r.Min.X+rng.Float64()*r.Width(), r.Min.Y+rng.Float64()*r.Height()))
+			if got == interior && !in || got == disjoint && in {
+				t.Fatalf("%v: classify(%v) = %d, but a sampled point has ContainsPoint %t", p, r, got, in)
+			}
+		}
+	}
+	t.Logf("disjoint %d, boundary %d, interior %d", counts[disjoint], counts[boundary], counts[interior])
+}
+
+// exactRegion covers a polygon through exactClassify: the covering exact
+// arithmetic gives.
 type exactRegion struct{ p *geom.Polygon }
 
-func (e exactRegion) Bound() geom.Rect { return e.p.Bound() }
-func (e exactRegion) ClassifyRect(r geom.Rect) geom.RectRelation {
-	if !e.p.Bound().Intersects(r) {
-		return geom.RectDisjoint
-	}
-	return exactClassify(e.p, r)
-}
+func (e exactRegion) Bound() geom.Rect                  { return e.p.Bound() }
+func (e exactRegion) classifyRect(r geom.Rect) relation { return exactClassify(e.p, r) }
 
 // TestCoverMatchesExactOracle: Cover is the covering exact arithmetic
 // gives, cell for cell and flag for flag, on every covering of
@@ -457,13 +481,11 @@ func TestCoverMatchesExactOracle(t *testing.T) {
 
 // TestCoverHolesMatchExactOracle: the carried ring masks keep one bit per
 // ring, so ContainsPoint's rule (inside the outer ring and no hole) holds
-// for holes AddHole does not check — outside the outer ring, across it,
-// overlapping each other — and for vertices on the cell centres the masks
-// are carried through. A polygon with more rings than a mask holds takes
-// ContainsPoint instead. Each covering equals both the exact oracle's and
-// the whole-ring ClassifyRect's. (Every hole here stays inside the outer
-// ring's bounding box: outside it, ClassifyRect's bounding-box check and
-// the walk's edge lists disagree, as they did before the masks.)
+// for holes AddHole does not check — outside the outer ring or past its
+// bounding box, across it, overlapping each other — and for vertices on
+// the cell centres the masks are carried through. A polygon with more
+// rings than a mask holds takes ContainsPoint instead. Each covering
+// equals the exact oracle's.
 func TestCoverHolesMatchExactOracle(t *testing.T) {
 	dom := testDomain()
 	ring := func(pts ...float64) []geom.Point {
@@ -503,6 +525,8 @@ func TestCoverHolesMatchExactOracle(t *testing.T) {
 		p    *geom.Polygon
 	}{
 		{"hole outside the outer ring", poly(cShape, square(50, 45, 8))},
+		{"hole past the box to the east", poly(cShape, square(60, 45, 20))},
+		{"hole past the box to the south", poly(square(20, 20, 40), ring(30, 10, 50, 10, 50, 30, 30, 30))},
 		{"hole across the outer ring", poly(cShape, ring(35, 45, 55, 45, 55, 55, 35, 55))},
 		{"hole across and hole inside", poly(cShape, square(62, 35, 8), square(33, 33, 4))},
 		{"overlapping holes", poly(square(20, 20, 60), square(30, 30, 25), square(40, 40, 25))},
@@ -525,12 +549,8 @@ func TestCoverHolesMatchExactOracle(t *testing.T) {
 		for _, maxLevel := range []int{7, 10} {
 			for _, maxCells := range []int{24, 2048} {
 				c := MustCoverer(dom, Options{MaxLevel: maxLevel, MaxCells: maxCells})
-				got := c.Cover(tc.p)
-				if d := diffCovering(got, c.Cover(exactRegion{tc.p})); d != "" {
+				if d := diffCovering(c.Cover(tc.p), c.Cover(exactRegion{tc.p})); d != "" {
 					t.Errorf("%s, level %d, MaxCells %d: against the exact oracle: %s", tc.name, maxLevel, maxCells, d)
-				}
-				if d := diffCovering(got, c.Cover(fullRingRegion{tc.p})); d != "" {
-					t.Errorf("%s, level %d, MaxCells %d: against ClassifyRect: %s", tc.name, maxLevel, maxCells, d)
 				}
 			}
 		}

@@ -18,15 +18,13 @@
 // whose inside/outside bits follow from the parent's corner by counting
 // edge crossings (S2's "contains centre" bit). In the level-order walk a
 // point-in-polygon test over every edge is left only where the carried
-// bits cannot decide: the start cell's centre, a centre whose crossing
-// count meets a zero sign, and the centre of every subdivided cell of a
-// polygon with more rings than a ring mask holds, which asks
-// ContainsPoint. The MinLevel seed (seedAtLevel), which runs when the
-// enclosing cell is coarser than MinLevel, tests every seed cell no edge
-// meets over all edges (classifier, below). Every sign is exact
-// (geom.OrientSign), so a cell the covering calls interior or disjoint
-// is interior or disjoint: the error bound of paper Sec. 3.2 holds
-// without a rounding caveat.
+// bits cannot decide: the start cell and its centre, a centre whose
+// crossing count meets a zero sign, and the centre of every subdivided
+// cell of a polygon with more rings than a ring mask holds, which asks
+// ContainsPoint. This is the only rule that classifies a polygon cell.
+// Every sign is exact (geom.OrientSign), so a cell the covering calls
+// interior or disjoint is interior or disjoint: the error bound of paper
+// Sec. 3.2 holds without a rounding caveat.
 //
 // The walk is level order and never decodes a Hilbert id: each subdivided
 // cell carries its grid coordinates and curve orientation
@@ -48,15 +46,30 @@ import (
 	"geoblocks/internal/geom"
 )
 
-// Region is the geometric interface the coverer consumes. Both
-// *geom.Polygon and rectRegion satisfy it.
+// Region is what the coverer covers: a *geom.Polygon, whose cells the
+// walk classifies against its ring edges, or a region from this package
+// (RectRegion), which classifies a rectangle itself. Cover panics on any
+// other type.
 type Region interface {
 	// Bound returns the region's bounding rectangle.
 	Bound() geom.Rect
-	// ClassifyRect returns the relation of the closed rectangle r to the
-	// region.
-	ClassifyRect(r geom.Rect) geom.RectRelation
 }
+
+// rectClassifier is a Region that is not a polygon.
+type rectClassifier interface {
+	// classifyRect returns the relation of the closed rectangle r to the
+	// region.
+	classifyRect(r geom.Rect) relation
+}
+
+// relation is a closed rectangle's relation to a region.
+type relation int
+
+const (
+	disjoint relation = iota // no point in common
+	boundary                 // overlaps the region, not wholly inside
+	interior                 // wholly inside the region
+)
 
 // edge is one ring edge of a polygon region, a→b in ring order, with its
 // bounding box and its ring's bit in a ring mask (0 in a polygon with more
@@ -83,9 +96,9 @@ const (
 )
 
 // classifier classifies the cells of one region's covering walk. For a
-// polygon it applies geom.Polygon.ClassifyRect's two steps — some ring
-// edge meets the cell ? RectIntersects : the cell lies wholly inside or
-// wholly outside — to an edge list per cell. A cell's list holds every
+// polygon it takes two steps over an edge list per cell: some ring edge
+// meets the cell ? boundary : the cell lies wholly inside or wholly
+// outside, as any one point of it does. A cell's list holds every
 // edge that can meet it: a child's rectangle lies inside its parent's, so
 // the edges that met the parent are the child's list. Lists are indices
 // into edges, kept in backing arrays the walk owns.
@@ -100,25 +113,23 @@ const (
 // so no other edge can cross it. Every sign is exact (geom.OrientSign).
 // The ring walk over all edges (maskAt) remains for a zero sign, a point
 // on that segment's line; for the start cell, which has no carried
-// corner; for every centre of a polygon with more rings than maskRings,
-// whose masks come from ContainsPoint; and for each edge-free cell of the
-// MinLevel seed, which carries no mask (unknownMask). Any other region
-// classifies through its own ClassifyRect and leaves lists empty.
+// corner (unknownMask); and for every centre of a polygon with more rings
+// than maskRings, whose masks come from ContainsPoint. Any other region
+// classifies through its own classifyRect and leaves lists empty.
 type classifier struct {
-	region Region
-	poly   *geom.Polygon // nil for non-polygon regions
+	poly   *geom.Polygon  // nil for other regions
+	other  rectClassifier // nil for a polygon
 	edges  []edge
 	direct bool // more rings than maskRings: masks come from ContainsPoint
 }
 
 // newClassifier builds region's classifier, appending its edges to buf.
 func newClassifier(region Region, buf []edge) classifier {
-	k := classifier{region: region, edges: buf}
 	p, ok := region.(*geom.Polygon)
 	if !ok {
-		return k
+		return classifier{other: region.(rectClassifier), edges: buf}
 	}
-	k.poly = p
+	k := classifier{poly: p, edges: buf}
 	k.direct = 1+len(p.Holes()) > maskRings
 	n := len(p.Outer())
 	for _, h := range p.Holes() {
@@ -146,8 +157,7 @@ func (k *classifier) addRing(ring []geom.Point, r int) {
 	}
 }
 
-// appendAll appends the list of every edge to buf: the list of a cell
-// whose parent was not classified.
+// appendAll appends the list of every edge to buf: the start cell's list.
 func (k *classifier) appendAll(buf []int32) []int32 {
 	for i := range k.edges {
 		buf = append(buf, int32(i))
@@ -159,9 +169,9 @@ func (k *classifier) appendAll(buf []int32) []int32 {
 // in list, which must include every edge that meets rect, and appends the
 // ones that do meet it to *out: the list of rect's children. in is the
 // ring mask of a corner of rect, or unknownMask.
-func (k *classifier) classify(rect geom.Rect, list []int32, out *[]int32, in uint32) geom.RectRelation {
-	if k.poly == nil {
-		return k.region.ClassifyRect(rect)
+func (k *classifier) classify(rect geom.Rect, list []int32, out *[]int32, in uint32) relation {
+	if k.other != nil {
+		return k.other.classifyRect(rect)
 	}
 	n := len(*out)
 	for _, e := range list {
@@ -172,7 +182,7 @@ func (k *classifier) classify(rect geom.Rect, list []int32, out *[]int32, in uin
 		}
 	}
 	if len(*out) > n {
-		return geom.RectIntersects
+		return boundary
 	}
 	// No edge meets rect, so no point of it is on the boundary and any
 	// point decides.
@@ -180,9 +190,9 @@ func (k *classifier) classify(rect geom.Rect, list []int32, out *[]int32, in uin
 		in = k.maskAt(rect.Min)
 	}
 	if in == insideMask {
-		return geom.RectContains
+		return interior
 	}
-	return geom.RectDisjoint
+	return disjoint
 }
 
 // centreMask returns the ring mask of m, the centre of the closed cell
@@ -261,14 +271,14 @@ func (k *classifier) maskAt(pt geom.Point) uint32 {
 type rectRegion struct{ r geom.Rect }
 
 func (rr rectRegion) Bound() geom.Rect { return rr.r }
-func (rr rectRegion) ClassifyRect(o geom.Rect) geom.RectRelation {
+func (rr rectRegion) classifyRect(o geom.Rect) relation {
 	if rr.r.ContainsRect(o) {
-		return geom.RectContains
+		return interior
 	}
 	if rr.r.Intersects(o) {
-		return geom.RectIntersects
+		return boundary
 	}
-	return geom.RectDisjoint
+	return disjoint
 }
 
 // RectRegion wraps a rectangle as a coverable region.
@@ -281,8 +291,6 @@ type Options struct {
 	// the block level: coverings must not contain cells smaller than the
 	// grid cells (paper Sec. 3.5).
 	MaxLevel int
-	// MinLevel bounds the coarsest cells used. Zero allows the root.
-	MinLevel int
 	// MaxCells soft-bounds the covering size. Once the budget is
 	// exhausted, remaining boundary cells are emitted unrefined. More
 	// cells means a tighter approximation but a more expensive query.
@@ -295,15 +303,12 @@ type Options struct {
 // polygons refine their whole boundary to the block level; tighter budgets
 // trade approximation error for covering (and query) cost.
 func DefaultOptions(maxLevel int) Options {
-	return Options{MaxLevel: maxLevel, MinLevel: 0, MaxCells: 2048}
+	return Options{MaxLevel: maxLevel, MaxCells: 2048}
 }
 
 func (o Options) validate() error {
 	if o.MaxLevel < 0 || o.MaxLevel > cellid.MaxLevel {
 		return fmt.Errorf("cover: MaxLevel %d out of range [0,%d]", o.MaxLevel, cellid.MaxLevel)
-	}
-	if o.MinLevel < 0 || o.MinLevel > o.MaxLevel {
-		return fmt.Errorf("cover: MinLevel %d out of range [0,%d]", o.MinLevel, o.MaxLevel)
 	}
 	if o.MaxCells < 1 {
 		return fmt.Errorf("cover: MaxCells must be positive, got %d", o.MaxCells)
@@ -351,16 +356,13 @@ func MustCoverer(dom cellid.Domain, opts Options) *Coverer {
 	return c
 }
 
-// Options returns the coverer's configuration.
-func (c *Coverer) Options() Options { return c.opts }
-
 // Domain returns the coverer's domain.
 func (c *Coverer) Domain() cellid.Domain { return c.dom }
 
 // Cover computes a covering of region. The covering satisfies:
 //
 //   - every point of the region lies in some covering cell;
-//   - no covering cell is below MaxLevel or above MinLevel;
+//   - no covering cell is finer than MaxLevel;
 //   - cells are disjoint and sorted ascending;
 //   - cells marked Interior are fully inside the region.
 //
@@ -376,14 +378,7 @@ func (c *Coverer) Cover(region Region) *Covering {
 
 	w := walkPool.Get().(*walk)
 	w.c, w.k = c, newClassifier(region, w.k.edges[:0])
-	start := c.enclosingCell(bb)
-	if start.Level() < c.opts.MinLevel {
-		// Seed with all MinLevel descendants that intersect the region
-		// instead of one giant cell, so MinLevel is respected.
-		w.seedAtLevel(start, c.opts.MinLevel)
-	} else {
-		w.walkLevels(start)
-	}
+	w.walkLevels(c.enclosingCell(bb))
 	cov := w.covering()
 	w.release()
 	return cov
@@ -444,7 +439,7 @@ var walkPool = sync.Pool{New: func() any { return new(walk) }}
 const maxPooledLen = 1 << 14
 
 func (w *walk) release() {
-	w.c, w.k.region, w.k.poly = nil, nil, nil
+	w.c, w.k.poly, w.k.other = nil, nil, nil
 	if max(cap(w.k.edges), cap(w.frontier), cap(w.next), cap(w.lists), cap(w.nextLists),
 		cap(w.out), cap(w.merged), cap(w.runs)) <= maxPooledLen {
 		walkPool.Put(w)
@@ -459,8 +454,7 @@ func (w *walk) release() {
 // entry carries its grid coordinates and Hilbert orientation, so no cell
 // id is decoded. Its children's edge list is lists[lo:hi]; the lists of
 // the next level are filled into nextLists while this level is
-// classified. Cover only walks from a start at MinLevel or finer, so every
-// level may emit.
+// classified.
 func (w *walk) walkLevels(start cellid.ID) {
 	w.level = start.Level()
 	w.lists = w.k.appendAll(w.lists[:0])
@@ -500,12 +494,11 @@ func (w *walk) walkLevels(start cellid.ID) {
 func (w *walk) visit(f *cellid.Cursor, rect geom.Rect, list []int32, in uint32, p geom.Point, pending int) {
 	n := len(w.nextLists)
 	rel := w.k.classify(rect, list, &w.nextLists, in)
-	if rel == geom.RectDisjoint {
+	if rel == disjoint {
 		return
 	}
-	contained := rel == geom.RectContains
-	if opts := &w.c.opts; contained || w.level >= opts.MaxLevel || len(w.out)+pending+4 > opts.MaxCells {
-		w.out = append(w.out, emitted{f.ID, contained})
+	if opts := &w.c.opts; rel == interior || w.level >= opts.MaxLevel || len(w.out)+pending+4 > opts.MaxCells {
+		w.out = append(w.out, emitted{f.ID, rel == interior})
 		w.nextLists = w.nextLists[:n]
 		return
 	}
@@ -518,28 +511,6 @@ func (w *walk) visit(f *cellid.Cursor, rect geom.Rect, list []int32, in uint32, 
 	if w.k.poly != nil {
 		g.in = w.k.centreMask(p, g.mid, rect, in, w.nextLists[n:])
 	}
-}
-
-// seedAtLevel emits all descendants of start at the given level that
-// intersect the region, in ascending order: one run. Used when the
-// enclosing cell is coarser than MinLevel.
-func (w *walk) seedAtLevel(start cellid.ID, level int) {
-	all := w.k.appendAll(w.lists[:0])
-	hits := w.nextLists[:0]
-	out := w.out[:0]
-	begin := start.ChildBeginAt(level)
-	end := start.ChildEndAt(level)
-	for id := begin; ; id = id.Next() {
-		hits = hits[:0]
-		if rel := w.k.classify(w.c.dom.CellRect(id), all, &hits, unknownMask); rel != geom.RectDisjoint {
-			out = append(out, emitted{id, rel == geom.RectContains})
-		}
-		if id == end {
-			break
-		}
-	}
-	w.lists, w.nextLists = all, hits
-	w.out, w.runs = out, append(w.runs[:0], 0, len(out))
 }
 
 // covering merges the emitted runs into a Covering with exact-size slices
@@ -597,7 +568,7 @@ func mergeRuns(dst, a, b []emitted) {
 }
 
 // enclosingCell returns the smallest single cell whose rectangle contains
-// bb — the covering seed.
+// bb: the walk's start.
 func (c *Coverer) enclosingCell(bb geom.Rect) cellid.ID {
 	lo := c.dom.FromPoint(bb.Min)
 	hi := c.dom.FromPoint(bb.Max)

@@ -68,11 +68,11 @@ func TestCoveringCellsDisjointAndSorted(t *testing.T) {
 }
 
 func TestCoveringRespectsLevelBounds(t *testing.T) {
-	opts := Options{MinLevel: 4, MaxLevel: 9, MaxCells: 500}
+	opts := Options{MaxLevel: 9, MaxCells: 500}
 	cov := MustCoverer(testDomain(), opts).Cover(testPolygon())
 	for i, id := range cov.Cells {
-		if l := id.Level(); l < opts.MinLevel || l > opts.MaxLevel {
-			t.Fatalf("cell %d level %d outside [%d,%d]", i, l, opts.MinLevel, opts.MaxLevel)
+		if l := id.Level(); l > opts.MaxLevel {
+			t.Fatalf("cell %d level %d finer than MaxLevel %d", i, l, opts.MaxLevel)
 		}
 	}
 }
@@ -93,14 +93,14 @@ func TestInteriorFlagsAreCorrect(t *testing.T) {
 	cov := MustCoverer(dom, DefaultOptions(10)).Cover(poly)
 	interiorCount := 0
 	for i, id := range cov.Cells {
-		rect := dom.CellRect(id)
+		rel := exactClassify(poly, dom.CellRect(id))
 		if cov.Interior[i] {
 			interiorCount++
-			if !poly.ContainsRect(rect) {
+			if rel != interior {
 				t.Fatalf("cell %v flagged interior but not contained", id)
 			}
 		}
-		if !poly.IntersectsRect(rect) {
+		if rel == disjoint {
 			t.Fatalf("cell %v in covering but does not intersect polygon", id)
 		}
 	}
@@ -186,9 +186,6 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := NewCoverer(dom, Options{MaxLevel: -1, MaxCells: 8}); err == nil {
 		t.Error("negative MaxLevel accepted")
 	}
-	if _, err := NewCoverer(dom, Options{MaxLevel: 5, MinLevel: 6, MaxCells: 8}); err == nil {
-		t.Error("MinLevel > MaxLevel accepted")
-	}
 	if _, err := NewCoverer(dom, Options{MaxLevel: 5, MaxCells: 0}); err == nil {
 		t.Error("zero MaxCells accepted")
 	}
@@ -255,29 +252,29 @@ func coverDiffPolygons() []*geom.Polygon {
 
 // TestCoverMatchesGolden pins Cover's output — cells, order, Interior
 // flags, truncation under tight budgets — to FNV-1a hashes. One hash per
-// MaxCells x MinLevel folds every MaxLevel x polygon covering. They were
-// split from one hash per MaxCells, taken from the best-first heap
-// implementation the level-order walk replaced, on a walk that matched it.
+// MaxCells folds every MaxLevel x polygon covering. The hashes were taken
+// from a walk that matched the best-first heap implementation the
+// level-order walk replaced.
 func TestCoverMatchesGolden(t *testing.T) {
 	var regions []Region
 	for _, p := range coverDiffPolygons() {
 		regions = append(regions, p)
 	}
 	checkGolden(t, regions, []golden{
-		{4, 0, 0x59062a290b0ae855}, {4, 3, 0x368e023cd1568f11},
-		{8, 0, 0xff0daac7e0ba8b7e}, {8, 3, 0x83f93f503b64da15},
-		{24, 0, 0x2c71d19fceb55b09}, {24, 3, 0x5b928372e54cf32},
-		{100, 0, 0xd2dd3c7307845ec8}, {100, 3, 0xf77fd31b9699aa58},
-		{500, 0, 0x3cac57782bc66daf}, {500, 3, 0x2b8989c4e9737b1c},
-		{2048, 0, 0xdcaf3dfa72e35d04}, {2048, 3, 0x36cb6599fda81e72},
+		{4, 0x59062a290b0ae855},
+		{8, 0xff0daac7e0ba8b7e},
+		{24, 0x2c71d19fceb55b09},
+		{100, 0xd2dd3c7307845ec8},
+		{500, 0x3cac57782bc66daf},
+		{2048, 0xdcaf3dfa72e35d04},
 	})
 }
 
 // golden is one covering hash: every region covered at MaxLevel 6, 10,
-// 14 and 18 under one MaxCells and MinLevel.
+// 14 and 18 under one MaxCells.
 type golden struct {
-	maxCells, minLevel int
-	hash               uint64
+	maxCells int
+	hash     uint64
 }
 
 // checkGolden hashes regions' coverings — each cell's id and Interior
@@ -289,7 +286,7 @@ func checkGolden(t *testing.T, regions []Region, rows []golden) {
 		h := fnv.New64a()
 		var buf [9]byte
 		for _, maxLevel := range []int{6, 10, 14, 18} {
-			c := MustCoverer(dom, Options{MaxLevel: maxLevel, MinLevel: g.minLevel, MaxCells: g.maxCells})
+			c := MustCoverer(dom, Options{MaxLevel: maxLevel, MaxCells: g.maxCells})
 			for _, rg := range regions {
 				cov := c.Cover(rg)
 				for i, id := range cov.Cells {
@@ -304,7 +301,7 @@ func checkGolden(t *testing.T, regions []Region, rows []golden) {
 			}
 		}
 		if got := h.Sum64(); got != g.hash {
-			t.Errorf("MaxCells=%d MinLevel=%d: covering hash %#x, golden %#x", g.maxCells, g.minLevel, got, g.hash)
+			t.Errorf("MaxCells=%d: covering hash %#x, golden %#x", g.maxCells, got, g.hash)
 		}
 	}
 }
@@ -360,17 +357,17 @@ func holeRectRegions() []Region {
 
 // TestCoverHolesAndRectsMatchGolden pins what TestCoverMatchesGolden does
 // not reach: polygons with holes, a hole crossing its outer ring, and
-// rectangle regions. Same grid and hash layout; the hashes were split
-// the same way from ones taken from the walk that decoded every cell's
-// Hilbert id and sorted its output.
+// rectangle regions. Same grid and hash layout; the hashes were taken
+// from a walk that matched the one that decoded every cell's Hilbert id
+// and sorted its output.
 func TestCoverHolesAndRectsMatchGolden(t *testing.T) {
 	checkGolden(t, holeRectRegions(), []golden{
-		{4, 0, 0xaa0d02da892108b1}, {4, 3, 0xc4a6e9e64773ddad},
-		{8, 0, 0xe7018e5c111b450}, {8, 3, 0xd6e3677ae366ffc7},
-		{24, 0, 0x492a56b3736334c}, {24, 3, 0xf26df763c4e3695e},
-		{100, 0, 0xa421ccd3231c3ce0}, {100, 3, 0xb39a1713e7ced733},
-		{500, 0, 0x7e8f7c0bb44a2efb}, {500, 3, 0xc4104d7d5c9073b8},
-		{2048, 0, 0x2ae1fa51264e5647}, {2048, 3, 0xfc76dbee128dc081},
+		{4, 0xaa0d02da892108b1},
+		{8, 0xe7018e5c111b450},
+		{24, 0x492a56b3736334c},
+		{100, 0xa421ccd3231c3ce0},
+		{500, 0x7e8f7c0bb44a2efb},
+		{2048, 0x2ae1fa51264e5647},
 	})
 }
 

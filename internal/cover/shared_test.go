@@ -154,20 +154,6 @@ func TestCoverSharedEmptyAndOutside(t *testing.T) {
 	assertSameCovering(t, "inside", sc.Covers[1], c.Cover(inside))
 }
 
-// TestCoverSharedMinLevelFallsBack: MinLevel-constrained coverers take
-// Cover's seeded path; the join's result must still be identical.
-func TestCoverSharedMinLevelFallsBack(t *testing.T) {
-	c := MustCoverer(testDomain(), Options{MinLevel: 4, MaxLevel: 10, MaxCells: 2048})
-	regions := []Region{
-		geom.RegularPolygon(geom.Pt(30, 40), 12, 7),
-		RectRegion(geom.RectFromCenter(geom.Pt(70, 60), 9, 5)),
-	}
-	sc := c.CoverShared(regions)
-	for i, rg := range regions {
-		assertSameCovering(t, "region", sc.Covers[i], c.Cover(rg))
-	}
-}
-
 // TestGuaranteedErrorBoundAfterTruncation pins the bound's
 // post-truncation semantics: when the MaxCells budget exhausts and
 // Cover emits unrefined boundary cells, GuaranteedErrorDistance must

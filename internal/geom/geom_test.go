@@ -2,7 +2,6 @@ package geom
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -173,49 +172,17 @@ func TestPolygonWithHole(t *testing.T) {
 	if !p.ContainsPoint(Pt(4, 5)) {
 		t.Error("point on hole boundary counts as contained (boundary)")
 	}
-	if p.ContainsRect(Rect{Min: Pt(3, 3), Max: Pt(7, 7)}) {
-		t.Error("rect overlapping hole must not be contained")
-	}
-	if !p.ContainsRect(Rect{Min: Pt(1, 1), Max: Pt(3, 3)}) {
-		t.Error("rect clear of hole must be contained")
-	}
-	if !p.IntersectsRect(Rect{Min: Pt(4.5, 4.5), Max: Pt(5.5, 5.5)}) == false {
-		// Rect fully inside the hole: intersects the polygon? The polygon
-		// interior excludes the hole, so no.
-		t.Error("rect fully inside hole must not intersect polygon")
-	}
-}
-
-func TestPolygonIntersectsRect(t *testing.T) {
-	tri := NewPolygon([]Point{Pt(0, 0), Pt(8, 0), Pt(4, 8)})
-	cases := []struct {
-		r    Rect
-		want bool
-	}{
-		{Rect{Min: Pt(3, 1), Max: Pt(5, 2)}, true},     // fully inside
-		{Rect{Min: Pt(-2, -2), Max: Pt(10, 10)}, true}, // contains polygon
-		{Rect{Min: Pt(-2, 3), Max: Pt(2, 5)}, true},    // crosses left edge
-		{Rect{Min: Pt(9, 9), Max: Pt(12, 12)}, false},  // disjoint
-		{Rect{Min: Pt(-4, -4), Max: Pt(-1, -1)}, false},
-		{Rect{Min: Pt(0, 7), Max: Pt(1, 8)}, false}, // near apex but outside
-		{Rect{Min: Pt(8, 0), Max: Pt(9, 1)}, true},  // touches vertex
-	}
-	for _, c := range cases {
-		if got := tri.IntersectsRect(c.r); got != c.want {
-			t.Errorf("IntersectsRect(%v) = %t, want %t", c.r, got, c.want)
-		}
-	}
 }
 
 func TestPolygonContainsRect(t *testing.T) {
 	tri := NewPolygon([]Point{Pt(0, 0), Pt(8, 0), Pt(4, 8)})
-	if !tri.ContainsRect(Rect{Min: Pt(3, 1), Max: Pt(5, 2)}) {
+	if !tri.containsRect(Rect{Min: Pt(3, 1), Max: Pt(5, 2)}) {
 		t.Error("inner rect must be contained")
 	}
-	if tri.ContainsRect(Rect{Min: Pt(0, 0), Max: Pt(8, 8)}) {
+	if tri.containsRect(Rect{Min: Pt(0, 0), Max: Pt(8, 8)}) {
 		t.Error("bbox of triangle must not be contained")
 	}
-	if tri.ContainsRect(Rect{Min: Pt(-1, 1), Max: Pt(2, 2)}) {
+	if tri.containsRect(Rect{Min: Pt(-1, 1), Max: Pt(2, 2)}) {
 		t.Error("rect crossing the boundary must not be contained")
 	}
 }
@@ -237,7 +204,7 @@ func TestInteriorRect(t *testing.T) {
 	if r.Area() < 0.8*100 {
 		t.Fatalf("interior rect area = %g, want >= 80", r.Area())
 	}
-	if !sq.ContainsRect(r) {
+	if !sq.containsRect(r) {
 		t.Fatal("interior rect must be contained in the polygon")
 	}
 
@@ -247,7 +214,7 @@ func TestInteriorRect(t *testing.T) {
 	if !rt.IsValid() {
 		t.Fatal("interior rect of triangle invalid")
 	}
-	if !tri.ContainsRect(rt) {
+	if !tri.containsRect(rt) {
 		t.Fatal("triangle interior rect must be contained")
 	}
 	// Max inscribed axis-aligned rect in this triangle has area 16 (w=4,h=4
@@ -268,46 +235,6 @@ func TestRegularPolygon(t *testing.T) {
 	}
 	if !c.ContainsPoint(Pt(5, 5)) {
 		t.Fatal("centre must be contained")
-	}
-}
-
-// Property: ContainsRect(r) implies every sampled point of r passes
-// ContainsPoint, and IntersectsRect is implied by any contained sample.
-func TestQuickRectPolygonPredicatesConsistent(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	poly := NewPolygon([]Point{Pt(0, 0), Pt(10, 1), Pt(12, 7), Pt(6, 11), Pt(-1, 6)})
-	f := func(x0, y0, w, h uint16) bool {
-		r := Rect{
-			Min: Pt(float64(x0)/4096-2, float64(y0)/4096-2),
-			Max: Pt(float64(x0)/4096-2+float64(w)/2048, float64(y0)/4096-2+float64(h)/2048),
-		}
-		contains := poly.ContainsRect(r)
-		intersects := poly.IntersectsRect(r)
-		if contains && !intersects {
-			return false
-		}
-		// Sample points inside r.
-		anyIn := false
-		for k := 0; k < 16; k++ {
-			p := Pt(
-				r.Min.X+rng.Float64()*r.Width(),
-				r.Min.Y+rng.Float64()*r.Height(),
-			)
-			in := poly.ContainsPoint(p)
-			if contains && !in {
-				return false
-			}
-			if in {
-				anyIn = true
-			}
-		}
-		if anyIn && !intersects {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -358,63 +285,6 @@ func TestSegmentIntersectsRect(t *testing.T) {
 	for _, c := range cases {
 		if got := SegmentIntersectsRect(c.a, c.b, r); got != c.want {
 			t.Errorf("SegmentIntersectsRect(%v,%v) = %t, want %t", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-// Property: ClassifyRect is exactly the (IntersectsRect, ContainsRect)
-// pair fused into one pass — RectDisjoint iff not intersecting,
-// RectContains iff contained. The region coverer's bit-identity contract
-// rests on this equivalence, so it is pinned across convex, concave and
-// holed polygons at rect scales from sliver to engulfing.
-func TestQuickClassifyRectMatchesPredicates(t *testing.T) {
-	convex := NewPolygon([]Point{Pt(0, 0), Pt(10, 1), Pt(12, 7), Pt(6, 11), Pt(-1, 6)})
-	concave := NewPolygon([]Point{Pt(0, 0), Pt(12, 0), Pt(12, 10), Pt(6, 3), Pt(0, 10)})
-	holed := NewPolygon([]Point{Pt(0, 0), Pt(12, 0), Pt(12, 12), Pt(0, 12)})
-	if err := holed.AddHole([]Point{Pt(4, 4), Pt(8, 4), Pt(8, 8), Pt(4, 8)}); err != nil {
-		t.Fatal(err)
-	}
-	polys := []*Polygon{convex, concave, holed}
-	f := func(x0, y0, w, h uint16, which uint8) bool {
-		poly := polys[int(which)%len(polys)]
-		r := Rect{
-			Min: Pt(float64(x0)/4096-2, float64(y0)/4096-2),
-			Max: Pt(float64(x0)/4096-2+float64(w)/1024, float64(y0)/4096-2+float64(h)/1024),
-		}
-		want := RectIntersects
-		switch {
-		case poly.ContainsRect(r):
-			want = RectContains
-		case !poly.IntersectsRect(r):
-			want = RectDisjoint
-		}
-		return poly.ClassifyRect(r) == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 4000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// ClassifyRect on hand-picked relations, including grid-aligned cells of
-// the kind the coverer feeds it.
-func TestClassifyRectCases(t *testing.T) {
-	poly := NewPolygon([]Point{Pt(0, 0), Pt(10, 0), Pt(10, 10), Pt(0, 10)})
-	cases := []struct {
-		r    Rect
-		want RectRelation
-	}{
-		{Rect{Min: Pt(2, 2), Max: Pt(4, 4)}, RectContains},
-		// Exact overlay: ContainsRect conservatively rejects rects the
-		// ring edges touch, and ClassifyRect must agree.
-		{Rect{Min: Pt(0, 0), Max: Pt(10, 10)}, RectIntersects},
-		{Rect{Min: Pt(-2, -2), Max: Pt(12, 12)}, RectIntersects},
-		{Rect{Min: Pt(8, 8), Max: Pt(12, 12)}, RectIntersects},
-		{Rect{Min: Pt(11, 11), Max: Pt(12, 12)}, RectDisjoint},
-		{Rect{Min: Pt(10, 10), Max: Pt(12, 12)}, RectIntersects}, // corner touch
-	}
-	for i, c := range cases {
-		if got := poly.ClassifyRect(c.r); got != c.want {
-			t.Errorf("case %d: ClassifyRect(%v) = %d, want %d", i, c.r, got, c.want)
 		}
 	}
 }

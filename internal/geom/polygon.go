@@ -49,9 +49,14 @@ func TryPolygon(outer []Point) (*Polygon, error) {
 }
 
 // AddHole adds a hole ring to p. The ring is copied and normalised to
-// clockwise order. Holes must lie inside the outer ring; this is the
+// clockwise order. Holes should lie inside the outer ring; this is the
 // caller's responsibility and is not validated (matching the permissive
-// handling of real-world polygon data in the paper's pipeline).
+// handling of real-world polygon data in the paper's pipeline). A point
+// is in p when it is inside the outer ring and no hole, so the part of a
+// hole outside the outer ring removes nothing. A covering
+// (internal/cover) still makes every cell that hole's edges meet a
+// boundary cell, within its start cell over the outer ring's Bound: extra
+// cells, never a missed point, so the covering's error bound holds.
 func (p *Polygon) AddHole(ring []Point) error {
 	h, err := normalizeRing(ring, true)
 	if err != nil {
@@ -187,41 +192,6 @@ func ringContains(ring []Point, pt Point) (inside, boundary bool) {
 	return inside, false
 }
 
-// IntersectsRect reports whether p and the closed rectangle r share at
-// least one point.
-func (p *Polygon) IntersectsRect(r Rect) bool {
-	if !p.bbox.Intersects(r) {
-		return false
-	}
-	// Any polygon vertex inside the rect?
-	for _, v := range p.outer {
-		if r.ContainsPoint(v) {
-			return true
-		}
-	}
-	// Any rect corner inside the polygon?
-	for _, c := range r.Vertices() {
-		if p.ContainsPoint(c) {
-			return true
-		}
-	}
-	// Any outer-ring edge crossing the rect boundary? (Holes cannot create
-	// an intersection that the two checks above plus this one miss: if the
-	// rect is entirely inside a hole, no corner is contained and no outer
-	// edge crosses it, and indeed there is no intersection with the polygon
-	// interior — but the rect could still cross a hole edge while its
-	// corners sit in the hole and the polygon; handle that below.)
-	if ringIntersectsRect(p.outer, r) {
-		return true
-	}
-	for _, h := range p.holes {
-		if ringIntersectsRect(h, r) {
-			return true
-		}
-	}
-	return false
-}
-
 func ringIntersectsRect(ring []Point, r Rect) bool {
 	n := len(ring)
 	j := n - 1
@@ -234,86 +204,22 @@ func ringIntersectsRect(ring []Point, r Rect) bool {
 	return false
 }
 
-// RectRelation is the three-way classification of a rectangle against a
-// region: disjoint from it, intersecting its boundary, or fully contained
-// in it.
-type RectRelation int
-
-const (
-	// RectDisjoint: the rectangle and the region share no point.
-	RectDisjoint RectRelation = iota
-	// RectIntersects: the rectangle overlaps the region but is not fully
-	// contained in it.
-	RectIntersects
-	// RectContains: the rectangle lies entirely within the region.
-	RectContains
-)
-
-// ClassifyRect returns the three-way relation of the closed rectangle r
-// to p, matching the (IntersectsRect, ContainsRect) pair: RectDisjoint iff
-// !IntersectsRect, RectContains iff ContainsRect.
-//
-// It needs two facts. If some ring edge (outer or hole) meets r, r
-// straddles or touches the boundary: RectIntersects, which is also what
-// ContainsRect's conservative edge test says. Otherwise the boundary
-// misses the connected set r, so r lies wholly inside or wholly outside
-// p and any one point decides; r.Min is tested. A hole inside r has its
-// edges inside r, so it is caught by the first step. Both facts are
-// exact: the edge test is SegmentIntersectsRect and the point test
-// ContainsPoint, both on OrientSign.
-//
-// The region coverer applies the same two steps with per-cell edge lists
-// (internal/cover), so the edges it tests per cell shrink down the tree,
-// and decides the second for most cells from a point whose inside/outside
-// bits it carries down the walk instead of a ring walk per cell.
-func (p *Polygon) ClassifyRect(r Rect) RectRelation {
-	if !p.bbox.Intersects(r) {
-		return RectDisjoint
-	}
+// containsRect reports whether the closed rectangle r lies inside p,
+// holes excluded. It is the covering's interior rule (internal/cover)
+// over the whole ring: when no ring edge meets r, the boundary misses the
+// connected set r, so r lies wholly inside or wholly outside p and r.Min
+// decides. A hole inside r has its edges inside r, so the first step
+// catches it. Both facts are exact, on OrientSign.
+func (p *Polygon) containsRect(r Rect) bool {
 	if ringIntersectsRect(p.outer, r) {
-		return RectIntersects
-	}
-	for _, h := range p.holes {
-		if ringIntersectsRect(h, r) {
-			return RectIntersects
-		}
-	}
-	if p.ContainsPoint(r.Min) {
-		return RectContains
-	}
-	return RectDisjoint
-}
-
-// ContainsRect reports whether the closed rectangle r lies entirely within
-// p (holes excluded). This is the predicate the region coverer uses to
-// classify covering cells as interior.
-func (p *Polygon) ContainsRect(r Rect) bool {
-	if !p.bbox.ContainsRect(r) {
-		return false
-	}
-	// All four corners must be inside.
-	for _, c := range r.Vertices() {
-		if !p.ContainsPoint(c) {
-			return false
-		}
-	}
-	// No boundary edge may cross the rectangle: an outer edge crossing
-	// means part of the rect is outside; a hole edge crossing (or a hole
-	// fully inside the rect) means part of the rect is in a hole.
-	if ringIntersectsRect(p.outer, r) {
-		// Edges touching the rect boundary from outside are fine only if
-		// the rect is degenerate; be conservative and reject.
 		return false
 	}
 	for _, h := range p.holes {
 		if ringIntersectsRect(h, r) {
 			return false
 		}
-		if r.ContainsPoint(h[0]) {
-			return false // hole entirely inside the rectangle
-		}
 	}
-	return true
+	return p.ContainsPoint(r.Min)
 }
 
 // String implements fmt.Stringer.
@@ -351,7 +257,7 @@ func (p *Polygon) InteriorRect(res int) Rect {
 				Min: Point{bb.Min.X + float64(gx)*cw, bb.Min.Y + float64(gy)*ch},
 				Max: Point{bb.Min.X + float64(gx+1)*cw, bb.Min.Y + float64(gy+1)*ch},
 			}
-			interior[gy*res+gx] = p.ContainsRect(cell)
+			interior[gy*res+gx] = p.containsRect(cell)
 		}
 	}
 
