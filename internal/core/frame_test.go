@@ -11,7 +11,7 @@ import (
 
 // frameBytes encodes the fixture block as one frame and returns the raw
 // bytes plus the reported FrameInfo.
-func frameBytes(t *testing.T) ([]byte, FrameInfo) {
+func frameBytes(t testing.TB) ([]byte, FrameInfo) {
 	t.Helper()
 	f := newFixture(t, 4000, 16)
 	b := f.build(t, 11, nil)
@@ -64,16 +64,18 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameCorruption is the frame-level corruption table: every mutation
-// of the on-disk bytes must surface the right typed error.
-func TestFrameCorruption(t *testing.T) {
-	frame, info := frameBytes(t)
+// frameCase is one mutation of a valid frame and the typed error it must
+// surface.
+type frameCase struct {
+	name    string
+	mutate  func([]byte) []byte
+	wantErr error
+}
 
-	cases := []struct {
-		name    string
-		mutate  func([]byte) []byte
-		wantErr error
-	}{
+// frameCorruptions is the frame-level corruption table over a frame whose
+// encoding reported info.
+func frameCorruptions(info FrameInfo) []frameCase {
+	return []frameCase{
 		{"frame magic flipped", func(b []byte) []byte {
 			b[0] ^= 0xff
 			return b
@@ -112,7 +114,13 @@ func TestFrameCorruption(t *testing.T) {
 			return b
 		}, ErrVersion},
 	}
-	for _, tc := range cases {
+}
+
+// TestFrameCorruption: every mutation of the on-disk bytes must surface
+// the right typed error.
+func TestFrameCorruption(t *testing.T) {
+	frame, info := frameBytes(t)
+	for _, tc := range frameCorruptions(info) {
 		t.Run(tc.name, func(t *testing.T) {
 			mutated := tc.mutate(bytes.Clone(frame))
 			_, _, err := DecodeFramed(bytes.NewReader(mutated))
@@ -159,4 +167,45 @@ func TestDecodeFramedHugeLengthPrefix(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("error %v, want ErrCorrupt", err)
 	}
+}
+
+// FuzzDecodeFramed feeds arbitrary GBF1 frames to DecodeFramed. When the
+// input holds the whole frame its length prefix announces, the CRC32C
+// trailer is recomputed over the fuzzed payload first, so the fuzzer
+// reaches the payload decoder behind the checksum. A frame must decode to
+// a typed error (ErrCorrupt, ErrVersion) or to a block whose EncodeFramed
+// gives the same frame back; it must never panic.
+func FuzzDecodeFramed(f *testing.F) {
+	frame, info := frameBytes(f)
+	f.Add(frame)
+	for _, tc := range frameCorruptions(info) {
+		f.Add(tc.mutate(bytes.Clone(frame)))
+	}
+	var small bytes.Buffer
+	if _, err := newFixture(f, 40, 3).build(f, 5, nil).EncodeFramed(&small); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(small.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = bytes.Clone(data)
+		if len(data) >= 16 {
+			if n := binary.LittleEndian.Uint64(data[4:12]); n <= uint64(len(data)-16) {
+				binary.LittleEndian.PutUint32(data[12+n:], CRC32C(data[12:12+n]))
+			}
+		}
+		b, info, err := DecodeFramed(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
+				t.Fatalf("decode error %v is neither ErrCorrupt nor ErrVersion", err)
+			}
+			return
+		}
+		var again bytes.Buffer
+		if _, err := b.EncodeFramed(&again); err != nil {
+			t.Fatalf("decoded block does not encode: %v", err)
+		}
+		if !bytes.Equal(again.Bytes(), data[:info.Bytes]) {
+			t.Fatalf("re-encoded frame (%d bytes) differs from the decoded one (%d bytes)", again.Len(), info.Bytes)
+		}
+	})
 }

@@ -97,10 +97,11 @@ func (r *leReader) u64() uint64 {
 }
 func (r *leReader) f64() float64 { return math.Float64frombits(r.u64()) }
 func (r *leReader) bytes(n int) []byte {
-	b := make([]byte, n)
-	if r.err == nil {
-		_, r.err = io.ReadFull(r.r, b)
+	if r.err != nil {
+		return nil
 	}
+	b := make([]byte, n)
+	_, r.err = io.ReadFull(r.r, b)
 	return b
 }
 
@@ -173,9 +174,22 @@ func (b *GeoBlock) WriteTo(dst io.Writer) (int64, error) {
 	return 0, w.err
 }
 
-// ReadBlock deserialises a GeoBlock written by WriteTo. The returned block
-// has no base-data reference: queries work, rebuilds do not.
+// ReadBlock deserialises a GeoBlock written by WriteTo, which must be all
+// of src. The returned block has no base-data reference: queries work,
+// rebuilds do not.
 func ReadBlock(src io.Reader) (*GeoBlock, error) {
+	payload, err := io.ReadAll(src)
+	if err != nil {
+		return nil, err
+	}
+	return decodeBlock(payload)
+}
+
+// decodeBlock deserialises one WriteTo payload. Every count is checked
+// against the bytes the payload holds before anything is allocated for
+// it, and bytes after the block are corrupt.
+func decodeBlock(payload []byte) (*GeoBlock, error) {
+	src := bytes.NewReader(payload)
 	r := &leReader{r: bufio.NewReader(src)}
 	if magic := string(r.bytes(4)); r.err == nil && magic != blockMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic)
@@ -200,8 +214,10 @@ func ReadBlock(src io.Reader) (*GeoBlock, error) {
 		return nil, err
 	}
 
+	// A column takes at least its name's length and its header
+	// aggregates: 28 bytes.
 	numCols := int(r.u32())
-	if numCols < 0 || numCols > 1<<16 {
+	if numCols < 0 || numCols > 1<<16 || 28*numCols > len(payload) {
 		return nil, fmt.Errorf("%w: implausible column count %d", ErrCorrupt, numCols)
 	}
 	names := make([]string, numCols)
@@ -240,8 +256,9 @@ func ReadBlock(src io.Reader) (*GeoBlock, error) {
 		b.header.Cols[c] = ColAggregate{Min: r.f64(), Max: r.f64(), Sum: r.f64()}
 	}
 
+	// A cell takes 32 bytes plus 24 per column.
 	n := int(r.u64())
-	if n < 0 || n > 1<<31 {
+	if n < 0 || n > 1<<31 || n > len(payload)/(32+24*numCols) {
 		return nil, fmt.Errorf("%w: implausible cell count %d", ErrCorrupt, n)
 	}
 	b.keys = make([]cellid.ID, n)
@@ -282,6 +299,9 @@ func ReadBlock(src io.Reader) (*GeoBlock, error) {
 	}
 	if r.err != nil {
 		return nil, r.err
+	}
+	if rest := r.r.Buffered() + src.Len(); rest != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the block", ErrCorrupt, rest)
 	}
 	b.buildPrefixes()
 	return b, nil
@@ -400,7 +420,7 @@ func DecodeFramed(src io.Reader) (*GeoBlock, FrameInfo, error) {
 	if info.CRC32C != trailer {
 		return nil, FrameInfo{}, fmt.Errorf("%w: payload CRC32C %08x does not match trailer %08x", ErrCorrupt, info.CRC32C, trailer)
 	}
-	b, err := ReadBlock(bytes.NewReader(payload))
+	b, err := decodeBlock(payload)
 	if err != nil {
 		if errors.Is(err, ErrCorrupt) || errors.Is(err, ErrVersion) {
 			return nil, FrameInfo{}, err
