@@ -6,7 +6,6 @@ import (
 	"math/big"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"geoblocks/internal/cellid"
@@ -69,8 +68,7 @@ func exactOrient(a, b, c geom.Point) int {
 			e0 = min(e0, e-53)
 		}
 	}
-	v := orientScratch.Get().(*[10]big.Int)
-	defer orientScratch.Put(v)
+	var v [10]big.Int
 	for i, x := range xs {
 		m, e := math.Frexp(x)
 		v[i].SetInt64(int64(m * (1 << 53)))
@@ -82,10 +80,6 @@ func exactOrient(a, b, c geom.Point) int {
 	r := v[9].Mul(v[6].Sub(&v[3], &v[1]), v[7].Sub(&v[4], &v[0]))
 	return l.Cmp(r)
 }
-
-// orientScratch holds exactOrient's integers, whose words are reused
-// across calls: the oracle runs on hundreds of thousands of cells.
-var orientScratch = sync.Pool{New: func() any { return new([10]big.Int) }}
 
 // ratOrient is the sign of (b−a) × (c−a) in plain rational arithmetic:
 // the determinant exactOrient's integer scaling must reproduce.

@@ -170,7 +170,7 @@ func (k *classifier) appendAll(buf []int32) []int32 {
 // ones that do meet it to *out: the list of rect's children. in is the
 // ring mask of a corner of rect, or unknownMask.
 func (k *classifier) classify(rect geom.Rect, list []int32, out *[]int32, in uint32) relation {
-	if k.other != nil {
+	if k.poly == nil {
 		return k.other.classifyRect(rect)
 	}
 	n := len(*out)

@@ -172,6 +172,15 @@ func TestPolygonWithHole(t *testing.T) {
 	if !p.ContainsPoint(Pt(4, 5)) {
 		t.Error("point on hole boundary counts as contained (boundary)")
 	}
+	if p.containsRect(Rect{Min: Pt(3, 3), Max: Pt(7, 7)}) {
+		t.Error("rect overlapping hole must not be contained")
+	}
+	if !p.containsRect(Rect{Min: Pt(1, 1), Max: Pt(3, 3)}) {
+		t.Error("rect clear of hole must be contained")
+	}
+	if p.containsRect(Rect{Min: Pt(4.5, 4.5), Max: Pt(5.5, 5.5)}) {
+		t.Error("rect fully inside hole must not be contained")
+	}
 }
 
 func TestPolygonContainsRect(t *testing.T) {
