@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -295,5 +296,108 @@ func TestSegmentIntersectsRect(t *testing.T) {
 		if got := SegmentIntersectsRect(c.a, c.b, r); got != c.want {
 			t.Errorf("SegmentIntersectsRect(%v,%v) = %t, want %t", c.a, c.b, got, c.want)
 		}
+	}
+}
+
+// ringsMeet reports whether an edge of p, outer or hole, meets r.
+func ringsMeet(p *Polygon, r Rect) bool {
+	for _, ring := range append([][]Point{p.outer}, p.holes...) {
+		if ringIntersectsRect(ring, r) {
+			return true
+		}
+	}
+	return false
+}
+
+// relate is the covering's rule (internal/cover) on this package: 2 if
+// containsRect, else 1 if a ring edge meets r, else 0 (disjoint).
+func relate(p *Polygon, r Rect) int {
+	if p.containsRect(r) {
+		return 2
+	} else if ringsMeet(p, r) {
+		return 1
+	}
+	return 0
+}
+
+func rc(x0, y0, x1, y1 float64) Rect { return Rect{Min: Pt(x0, y0), Max: Pt(x1, y1)} }
+
+// The relation on hand-picked rectangles; touching the ring is never
+// interior, and a corner touch is not disjoint.
+func TestClassifyRectCases(t *testing.T) {
+	sq := NewPolygon([]Point{Pt(0, 0), Pt(10, 0), Pt(10, 10), Pt(0, 10)})
+	for i, r := range []Rect{rc(2, 2, 4, 4), rc(0, 0, 10, 10), rc(-2, -2, 12, 12), rc(8, 8, 12, 12), rc(11, 11, 12, 12), rc(10, 10, 12, 12)} {
+		if got, want := relate(sq, r), []int{2, 1, 1, 1, 0, 1}[i]; got != want {
+			t.Errorf("case %d: relate(%v) = %d, want %d", i, r, got, want)
+		}
+	}
+}
+
+// A triangle meets a rectangle inside it, engulfing it, across an edge and
+// at a vertex touch, not one beside the apex or outside.
+func TestPolygonIntersectsRect(t *testing.T) {
+	tri := NewPolygon([]Point{Pt(0, 0), Pt(8, 0), Pt(4, 8)})
+	for i, r := range []Rect{rc(3, 1, 5, 2), rc(-2, -2, 10, 10), rc(-2, 3, 2, 5), rc(8, 0, 9, 1), rc(0, 7, 1, 8), rc(9, 9, 12, 12), rc(-4, -4, -1, -1)} {
+		if got, want := relate(tri, r) != 0, i < 4; got != want {
+			t.Errorf("intersects(%v) = %t, want %t", r, got, want)
+		}
+	}
+}
+
+// Property: every sampled point of an interior rectangle is contained, and
+// a rectangle holding a contained sample is not disjoint.
+func TestQuickRectPolygonPredicatesConsistent(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	poly := NewPolygon([]Point{Pt(0, 0), Pt(10, 1), Pt(12, 7), Pt(6, 11), Pt(-1, 6)})
+	f := func(x0, y0, w, h uint16) bool {
+		x, y := float64(x0)/4096-2, float64(y0)/4096-2
+		r := rc(x, y, x+float64(w)/2048, y+float64(h)/2048)
+		rel := relate(poly, r)
+		for k := 0; k < 16; k++ {
+			in := poly.ContainsPoint(Pt(r.Min.X+rng.Float64()*r.Width(), r.Min.Y+rng.Float64()*r.Height()))
+			if rel == 2 && !in || rel == 0 && in {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: the rule's one-point shortcut (r.Min decides once no edge
+// meets r) matches the corner-wise predicates on convex, concave and holed
+// polygons, slivers to engulfing: interior iff four corners are contained
+// and no edge meets r; disjoint iff no corner is, no outer vertex is in r
+// and no edge meets r.
+func TestQuickClassifyRectMatchesPredicates(t *testing.T) {
+	holed := NewPolygon([]Point{Pt(0, 0), Pt(12, 0), Pt(12, 12), Pt(0, 12)})
+	if err := holed.AddHole([]Point{Pt(4, 4), Pt(8, 4), Pt(8, 8), Pt(4, 8)}); err != nil {
+		t.Fatal(err)
+	}
+	polys := []*Polygon{holed, NewPolygon([]Point{Pt(0, 0), Pt(10, 1), Pt(12, 7), Pt(6, 11), Pt(-1, 6)}),
+		NewPolygon([]Point{Pt(0, 0), Pt(12, 0), Pt(12, 10), Pt(6, 3), Pt(0, 10)})}
+	f := func(x0, y0, w, h uint16, which uint8) bool {
+		poly, x, y := polys[int(which)%len(polys)], float64(x0)/4096-2, float64(y0)/4096-2
+		r := rc(x, y, x+float64(w)/1024, y+float64(h)/1024)
+		corners, vertex, meets, want := 0, false, ringsMeet(poly, r), 1
+		for _, c := range r.Vertices() {
+			if poly.ContainsPoint(c) {
+				corners++
+			}
+		}
+		for _, v := range poly.outer {
+			vertex = vertex || r.ContainsPoint(v)
+		}
+		if corners == 4 && !meets {
+			want = 2
+		} else if corners == 0 && !vertex && !meets {
+			want = 0
+		}
+		return relate(poly, r) == want
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 4000}); err != nil {
+		t.Fatal(err)
 	}
 }
