@@ -55,11 +55,11 @@
 // on its first query, and -resident-budget bounds the total materialised
 // memory with LRU eviction (0 = unlimited; evicted shards re-fault on
 // demand). Mapped datasets are read-only — updates need an eager
-// restart — and all snapshots the daemon writes under -mmap use format
-// v3, so they restore in place next start; version-1 snapshots still
-// restore eagerly. /v1/stats and /metrics report mapped vs resident
-// bytes, shard faults and evictions. docs/OPERATIONS.md Sec. "Serving
-// snapshots from disk" is the runbook.
+// restart, which restores the same v3 snapshot into writable heap
+// blocks. Every snapshot the daemon writes is format v3; legacy
+// version-1 snapshots still restore eagerly. /v1/stats and /metrics
+// report mapped vs resident bytes, shard faults and evictions.
+// docs/OPERATIONS.md Sec. "Serving snapshots from disk" is the runbook.
 //
 // Cluster mode (-cluster-config FILE) makes the node a member of a
 // geoblocksd cluster: FILE is the shard→node assignment (a JSON map of
@@ -155,7 +155,7 @@ func main() {
 		snapOnExit   = flag.Bool("snapshot-on-exit", false, "snapshot every dataset into -data-dir after the graceful drain")
 		compactEvery = flag.Duration("compact-interval", 5*time.Second, "background delta compaction cadence (0 folds only on backpressure kicks)")
 		deltaMaxRows = flag.Int64("delta-max-rows", 2_000_000, "ingest backpressure cap on pending delta rows per dataset (0 = uncapped)")
-		mmapServe    = flag.Bool("mmap", false, "serve format-v3 snapshots in place via mmap: metadata-only restore, shards fault in on first query; snapshots are written in format v3")
+		mmapServe    = flag.Bool("mmap", false, "serve format-v3 snapshots in place via mmap: metadata-only restore, shards fault in on first query")
 		residentMax  = flag.Int64("resident-budget", 0, "resident-memory budget in bytes for mmap-served shards, LRU-evicted above it (0 = unlimited; needs -mmap)")
 		clusterCfg   = flag.String("cluster-config", "", "cluster assignment file (JSON; see docs/OPERATIONS.md): join a geoblocksd cluster and serve the internal partial endpoint; SIGHUP reloads it")
 		coordinator  = flag.Bool("coordinator", false, "route /v1/query through the cluster scatter-gather (needs -cluster-config)")
@@ -291,7 +291,6 @@ func main() {
 
 	handler := httpapi.NewHandler(st, httpapi.Config{
 		DataDir:     *dataDir,
-		SnapshotV3:  *mmapServe,
 		Cluster:     co,
 		Coordinator: *coordinator,
 	})
@@ -310,7 +309,7 @@ func main() {
 		// Before the compactors stop: the snapshot path folds pending
 		// deltas itself and truncates each dataset's WAL to the
 		// un-snapshotted tail.
-		if err := snapshotAll(st, *dataDir, *mmapServe, log.Printf); err != nil {
+		if err := snapshotAll(st, *dataDir, log.Printf); err != nil {
 			log.Fatalf("geoblocksd: %v", err)
 		}
 	}
@@ -413,12 +412,10 @@ func restoreDataDir(st *store.Store, dataDir string, logf func(string, ...any)) 
 }
 
 // snapshotAll writes one snapshot per registered dataset into dataDir,
-// replacing previous snapshots atomically — in the mappable format v3
-// when the daemon runs with -mmap, so the next start restores in place.
-// Datasets whose names are not safe path elements are skipped with a
-// log line (the HTTP API refuses to create such names; -load specs are
-// always safe).
-func snapshotAll(st *store.Store, dataDir string, v3 bool, logf func(string, ...any)) error {
+// replacing previous snapshots atomically. Datasets whose names are not
+// safe path elements are skipped with a log line (the HTTP API refuses
+// to create such names; -load specs are always safe).
+func snapshotAll(st *store.Store, dataDir string, logf func(string, ...any)) error {
 	var firstErr error
 	for _, name := range st.Names() {
 		d, ok := st.Get(name)
@@ -430,13 +427,7 @@ func snapshotAll(st *store.Store, dataDir string, v3 bool, logf func(string, ...
 			continue
 		}
 		start := time.Now()
-		var m snapshot.Manifest
-		var err error
-		if v3 {
-			m, err = d.SnapshotV3(filepath.Join(dataDir, name))
-		} else {
-			m, err = d.Snapshot(filepath.Join(dataDir, name))
-		}
+		m, err := d.Snapshot(filepath.Join(dataDir, name))
 		if err != nil {
 			logf("ERROR: snapshotting %s: %v", name, err)
 			if firstErr == nil {

@@ -118,7 +118,7 @@ func TestSnapshotAllAndRestoreDataDir(t *testing.T) {
 	dataDir := t.TempDir()
 	var logs []string
 	logf := func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
-	if err := snapshotAll(st, dataDir, false, logf); err != nil {
+	if err := snapshotAll(st, dataDir, logf); err != nil {
 		t.Fatalf("snapshotAll: %v (logs: %v)", err, logs)
 	}
 

@@ -861,6 +861,18 @@ func MapGeoBlock(data []byte) (*GeoBlock, error) {
 	return wrapBlock(b)
 }
 
+// MapOwnedGeoBlock is MapGeoBlock over a buffer the block takes
+// ownership of, typically a format-v3 file read into the heap: the block
+// is not mapped, so it takes Update like a decoded one. The caller must
+// not touch data again.
+func MapOwnedGeoBlock(data []byte) (*GeoBlock, error) {
+	b, err := core.MapOwnedBlock(data)
+	if err != nil {
+		return nil, err
+	}
+	return wrapBlock(b)
+}
+
 // Mapped reports whether the block is a read-only view over mapped file
 // bytes.
 func (g *GeoBlock) Mapped() bool { return g.inner.Mapped() }

@@ -1,6 +1,7 @@
 package cellid
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -365,14 +366,29 @@ func TestInvalidIDs(t *testing.T) {
 }
 
 func TestNewDomainValidation(t *testing.T) {
-	if _, err := NewDomain(geom.Rect{}); err == nil {
-		t.Fatal("empty domain must be rejected")
-	}
-	if _, err := NewDomain(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1, 0)}); err == nil {
-		t.Fatal("zero-height domain must be rejected")
-	}
-	if _, err := NewDomain(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1)}); err != nil {
-		t.Fatalf("valid domain rejected: %v", err)
+	for _, tc := range []struct {
+		name  string
+		bound geom.Rect
+		ok    bool
+	}{
+		{"empty", geom.Rect{}, false},
+		{"zero height", geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1, 0)}, false},
+		{"unit square", geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1, 1)}, true},
+		// The width overflows to +Inf, so the scale would be 0 (IsZero).
+		{"MaxFloat64 across", geom.Rect{Min: geom.Pt(-math.MaxFloat64, 0), Max: geom.Pt(math.MaxFloat64, 1)}, false},
+		{"infinite min", geom.Rect{Min: geom.Pt(math.Inf(-1), 0), Max: geom.Pt(1, 1)}, false},
+		{"NaN max", geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1, math.NaN())}, false},
+		// The width is positive but the scale overflows to +Inf.
+		{"subnormal width", geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(1e-320, 1)}, false},
+		{"wide but finite", geom.Rect{Min: geom.Pt(-1e300, -1e300), Max: geom.Pt(1e300, 1e300)}, true},
+	} {
+		d, err := NewDomain(tc.bound)
+		if tc.ok != (err == nil) {
+			t.Errorf("%s: NewDomain(%v) err = %v, want ok=%v", tc.name, tc.bound, err, tc.ok)
+		}
+		if err == nil && d.IsZero() {
+			t.Errorf("%s: accepted domain reports IsZero", tc.name)
+		}
 	}
 }
 

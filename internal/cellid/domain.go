@@ -23,16 +23,20 @@ type Domain struct {
 const maxCoord = 1 << MaxLevel
 
 // NewDomain creates a domain over the given bounding rectangle. The
-// rectangle must have positive extent in both dimensions.
+// rectangle must have positive, finite extent in both dimensions, wide
+// enough that the leaf grid's scale factors are finite too.
 func NewDomain(bound geom.Rect) (Domain, error) {
-	if !(bound.Width() > 0) || !(bound.Height() > 0) {
-		return Domain{}, fmt.Errorf("cellid: domain must have positive extent, got %v", bound)
-	}
-	return Domain{
+	d := Domain{
 		bound:  bound,
 		scaleX: maxCoord / bound.Width(),
 		scaleY: maxCoord / bound.Height(),
-	}, nil
+	}
+	for _, v := range [...]float64{bound.Width(), bound.Height(), d.scaleX, d.scaleY} {
+		if !(v > 0) || math.IsInf(v, 1) {
+			return Domain{}, fmt.Errorf("cellid: domain must have positive, finite extent and scale, got %v", bound)
+		}
+	}
+	return d, nil
 }
 
 // MustDomain is NewDomain that panics on invalid input; intended for

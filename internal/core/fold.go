@@ -27,9 +27,6 @@ import (
 // The new block keeps b's base-table reference; like Update it diverges
 // from Base() until the next full rebuild.
 func FoldRows(b *GeoBlock, leaves []cellid.ID, cols [][]float64) (*GeoBlock, error) {
-	if b.mapped {
-		return nil, ErrReadOnly
-	}
 	if err := b.validateRows(leaves, cols); err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 
 	"geoblocks/internal/cover"
@@ -113,6 +114,13 @@ func frameCorruptions(info FrameInfo) []frameCase {
 			binary.LittleEndian.PutUint32(b[16:20], 1)
 			return b
 		}, ErrVersion},
+		// The bound's min x (payload offset 8) made -Inf, with the
+		// trailer recomputed so the domain check has to catch it.
+		{"non-finite bound", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[20:28], math.Float64bits(math.Inf(-1)))
+			binary.LittleEndian.PutUint32(b[len(b)-4:], CRC32C(b[12:len(b)-4]))
+			return b
+		}, ErrCorrupt},
 	}
 }
 

@@ -66,9 +66,9 @@ const (
 	v3OffDataCRC     = 124 // u32
 )
 
-// ErrReadOnly reports a mutation attempt on a mapped (view-backed)
-// GeoBlock. Mapped blocks alias read-only file bytes; callers that need
-// updates must restore the block eagerly (decode to heap) first.
+// ErrReadOnly reports an in-place mutation attempt on a mapped GeoBlock.
+// Mapped blocks alias read-only file bytes; callers that need updates
+// must read the file into the heap and use MapOwnedBlock instead.
 var ErrReadOnly = errors.New("core: mapped block is read-only")
 
 // V3Info is the metadata recovered by eagerly validating a v3 file's
@@ -392,6 +392,9 @@ func ProbeV3(prefix []byte, fileSize int64) (*V3Info, error) {
 		Min: geom.Pt(math.Float64frombits(le.Uint64(prefix[v3OffBound:])), math.Float64frombits(le.Uint64(prefix[v3OffBound+8:]))),
 		Max: geom.Pt(math.Float64frombits(le.Uint64(prefix[v3OffBound+16:])), math.Float64frombits(le.Uint64(prefix[v3OffBound+24:]))),
 	}
+	if _, err := cellid.NewDomain(info.Bound); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
 	return info, nil
 }
 
@@ -471,5 +474,18 @@ func MapBlock(data []byte) (*GeoBlock, error) {
 		b.cols[c].maxs = v3View[float64](data, secs[5+3*c+2].off, n)
 	}
 	b.buildPrefixes()
+	return b, nil
+}
+
+// MapOwnedBlock is MapBlock over a buffer the block takes ownership of:
+// a v3 file image read into the heap that nothing else references. The
+// views then alias memory the block owns, so the block is not mapped and
+// takes Update like a decoded one. The caller must not touch data again.
+func MapOwnedBlock(data []byte) (*GeoBlock, error) {
+	b, err := MapBlock(data)
+	if err != nil {
+		return nil, err
+	}
+	b.mapped = false
 	return b, nil
 }

@@ -7,8 +7,10 @@ import (
 	"math"
 	"testing"
 
+	"geoblocks/internal/cellid"
 	"geoblocks/internal/column"
 	"geoblocks/internal/cover"
+	"geoblocks/internal/geom"
 )
 
 // fixTableCRC recomputes the v3 table checksum after a test deliberately
@@ -110,6 +112,64 @@ func TestV3MappedRejectsUpdate(t *testing.T) {
 	}
 }
 
+// TestV3OwnedTakesWrites: a block over a v3 image it owns is not mapped
+// and takes Update with the decoded block's exact result, and FoldRows
+// only reads its input, so it folds even a truly mapped block.
+func TestV3OwnedTakesWrites(t *testing.T) {
+	f := newFixture(t, 5000, 16)
+	b := f.build(t, 11, nil)
+	o, err := MapOwnedBlock(b.EncodeV3())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Mapped() {
+		t.Fatal("a block over an owned buffer must not report Mapped()")
+	}
+	cov := cover.MustCoverer(f.dom, cover.DefaultOptions(11)).Cover(testPolygon())
+	same := func(step string, x, y *GeoBlock) {
+		t.Helper()
+		want, err := x.SelectCovering(cov.Cells, allSpecs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := y.SelectCovering(cov.Cells, allSpecs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Count != got.Count {
+			t.Fatalf("%s: counts differ: %d vs %d", step, got.Count, want.Count)
+		}
+		for i := range want.Values {
+			if math.Float64bits(want.Values[i]) != math.Float64bits(got.Values[i]) {
+				t.Fatalf("%s: value %d %v, want %v", step, i, got.Values[i], want.Values[i])
+			}
+		}
+	}
+	batch := &UpdateBatch{Points: f.pts[:50], Cols: [][]float64{f.cols[0][:50], f.cols[1][:50], f.cols[2][:50]}}
+	for _, blk := range []*GeoBlock{b, o} {
+		if err := blk.Update(batch); err != nil {
+			t.Fatalf("Update: %v", err)
+		}
+	}
+	same("update", b, o)
+
+	m, err := MapBlock(b.EncodeV3())
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := []cellid.ID{f.dom.FromPoint(geom.Pt(31, 41))}
+	rows := [][]float64{{7}, {3}, {2}}
+	fb, err := FoldRows(b, leaves, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fm, err := FoldRows(m, leaves, rows)
+	if err != nil {
+		t.Fatalf("FoldRows of a mapped block: %v", err)
+	}
+	same("fold", fb, fm)
+}
+
 func TestV3CoarsenFromMapped(t *testing.T) {
 	enc, b := v3Bytes(t)
 	m, err := MapBlock(enc)
@@ -192,6 +252,11 @@ func v3Corruptions() []v3Corruption {
 		}, ErrCorrupt, false},
 		{"section escapes file", func(b []byte) []byte {
 			le.PutUint64(b[v3HeaderSize:], uint64(len(b)))
+			fixTableCRC(b)
+			return b
+		}, ErrCorrupt, false},
+		{"non-finite bound", func(b []byte) []byte {
+			le.PutUint64(b[v3OffBound:], math.Float64bits(math.Inf(-1)))
 			fixTableCRC(b)
 			return b
 		}, ErrCorrupt, false},

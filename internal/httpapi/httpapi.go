@@ -53,12 +53,6 @@ type Config struct {
 	// Empty disables the defaults — snapshot requests then must carry an
 	// explicit path, and purge is rejected.
 	DataDir string
-	// SnapshotV3 makes the snapshot endpoint write mappable format-v3
-	// snapshots (docs/FORMAT.md Sec. 8) instead of version-1 framed
-	// payloads — set by the daemon when mmap serving is on, so written
-	// snapshots restore in place on the next start. Mapped datasets
-	// clone their backing directory either way.
-	SnapshotV3 bool
 	// Cluster, when non-nil, puts the node in cluster mode: it serves
 	// the internal partial-query endpoint (peers answer shard
 	// sub-coverings as serialized accumulators) and exports cluster
@@ -756,13 +750,7 @@ func (s *server) handleSnapshotDataset(w http.ResponseWriter, r *http.Request) {
 	defer s.snapshotting.Delete(name)
 
 	start := time.Now()
-	var m snapshot.Manifest
-	var err error
-	if s.cfg.SnapshotV3 {
-		m, err = d.SnapshotV3(dir)
-	} else {
-		m, err = d.Snapshot(dir)
-	}
+	m, err := d.Snapshot(dir)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "snapshot: %v", err)
 		return

@@ -528,15 +528,15 @@ func TestResultCacheEndpoints(t *testing.T) {
 	}
 }
 
-// TestMmapServing drives the daemon-facing mmap surface end to end: with
-// mmap serving enabled the snapshot endpoint writes format v3, a
-// create-from-snapshot serves it in place (mapped dataset, bit-identical
+// TestMmapServing drives the daemon-facing mmap surface end to end: the
+// snapshot endpoint writes format v3, a create-from-snapshot with mmap
+// serving enabled serves it in place (mapped dataset, bit-identical
 // answers), and /v1/stats + /metrics expose the residency series.
 func TestMmapServing(t *testing.T) {
 	st := testStore(t)
 	st.EnableMmap(0)
 	dataDir := t.TempDir()
-	_, h := newServer(st, Config{DataDir: dataDir, SnapshotV3: true})
+	_, h := newServer(st, Config{DataDir: dataDir})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 

@@ -270,7 +270,7 @@ func TestIngestMappedDataset(t *testing.T) {
 	st := testStore(t)
 	st.EnableMmap(0)
 	dataDir := t.TempDir()
-	_, h := newServer(st, Config{DataDir: dataDir, SnapshotV3: true})
+	_, h := newServer(st, Config{DataDir: dataDir})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 

@@ -37,7 +37,7 @@ func TestSnapshotEndpointRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
-	if sr.Dataset != "taxi" || sr.Shards < 2 || sr.Bytes <= 0 || sr.FormatVersion != snapshot.FormatVersion {
+	if sr.Dataset != "taxi" || sr.Shards < 2 || sr.Bytes <= 0 || sr.FormatVersion != snapshot.FormatVersionV3 {
 		t.Fatalf("snapshot response %+v", sr)
 	}
 	if sr.Path != filepath.Join(dataDir, "taxi") {
@@ -102,7 +102,7 @@ func TestSnapshotEndpointErrors(t *testing.T) {
 	if resp, _ := postJSON(t, ts, "/v1/datasets/taxi/snapshot", ""); resp.StatusCode != http.StatusOK {
 		t.Fatal("snapshot failed")
 	}
-	path := filepath.Join(dataDir, "taxi", "shard-00000.gbk")
+	path := filepath.Join(dataDir, "taxi", "shard-00000.gb3")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -5,20 +5,22 @@
 //
 // # Layout
 //
-// A snapshot is one directory holding a JSON manifest plus one framed
-// GeoBlock payload per shard:
+// A snapshot is one directory holding a JSON manifest plus one format-v3
+// GeoBlock file per shard:
 //
 //	<dir>/
 //	  manifest.json     dataset metadata + per-shard entries
 //	  manifest.crc32c   CRC32C of manifest.json (hex sidecar)
-//	  shard-00000.gbk   frame: "GBF1" | len u64 | v2 payload | CRC32C u32
-//	  shard-00001.gbk   ...
+//	  shard-00000.gb3   v3 file: header | section table | meta | data
+//	  shard-00001.gb3   ...
 //
 // The manifest records the snapshot format version, the dataset's name,
 // block level, shard level and cache configuration, and for every shard
-// its prefix cell, row count, byte length and payload CRC32C — enough to
+// its prefix cell, row count, byte length and data CRC32C — enough to
 // rebuild the serving dataset exactly and to verify every byte read
-// back. docs/FORMAT.md specifies all three artifact kinds byte by byte.
+// back. Directories of the legacy format (FormatVersion: one
+// "GBF1"-framed v2 payload per shard, shard-%05d.gbk) still load; nothing
+// writes them. docs/FORMAT.md specifies every artifact kind byte by byte.
 //
 // # Atomicity and durability
 //
@@ -37,12 +39,12 @@
 // # Fail-closed reads
 //
 // Load validates before it trusts: the manifest checksum and format
-// version, then — in parallel across shards — each frame's magic,
-// declared length, payload version and CRC32C trailer, and finally the
-// decoded block's level, row count, schema and domain against the
-// manifest. Any mismatch fails the whole load with a typed error —
-// ErrCorrupt or ErrVersion — and no partial result: the store layer
-// registers a restored dataset only after every shard verified.
+// version, then — in parallel across shards — each file's magic,
+// declared length, version and checksums, and finally the block's
+// level, row count, schema and domain against the manifest. Any
+// mismatch fails the whole load with a typed error — ErrCorrupt or
+// ErrVersion — and no partial result: the store layer registers a
+// restored dataset only after every shard verified.
 //
 // Shard payload files are written and read with the worker-pool fan-out
 // used elsewhere in the store, so snapshot save/restore of a many-shard

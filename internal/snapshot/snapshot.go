@@ -18,12 +18,12 @@ import (
 	"geoblocks/internal/geom"
 )
 
-// FormatVersion is the default snapshot directory format: version-2
-// framed shard payloads, decoded eagerly on load. FormatVersionV3 marks
-// a directory whose shards are format-v3 random-access files (see
-// core.EncodeV3) that OpenLazy can serve via mmap without decoding;
-// Load reads both. Bump on incompatible manifest or layout changes;
-// docs/FORMAT.md records the policy.
+// FormatVersionV3 marks a directory whose shards are format-v3
+// random-access files (see core.EncodeV3): Save writes it, Load reads it
+// eagerly and OpenLazy serves it via mmap without decoding.
+// FormatVersion is the legacy layout of version-2 framed shard payloads,
+// which Load still reads but nothing writes. Bump on incompatible
+// manifest or layout changes; docs/FORMAT.md records the policy.
 const (
 	FormatVersion   = 1
 	FormatVersionV3 = 2
@@ -64,10 +64,10 @@ type ShardEntry struct {
 	File string `json:"file"`
 	// Rows is the shard block's tuple count.
 	Rows uint64 `json:"rows"`
-	// Bytes is the total framed file size in bytes.
+	// Bytes is the shard file's size in bytes.
 	Bytes int64 `json:"bytes"`
-	// CRC32C is the Castagnoli checksum of the frame's payload (equal to
-	// the frame trailer).
+	// CRC32C is the Castagnoli checksum of a v3 file's data region (its
+	// header's dataCRC), or of a legacy frame's payload (its trailer).
 	CRC32C uint32 `json:"crc32c"`
 }
 
@@ -128,24 +128,13 @@ type Shard struct {
 	Block *geoblocks.GeoBlock
 }
 
-// shardFile names the i-th shard payload for the given snapshot format:
-// .gbk framed payloads in version 1, .gb3 random-access files in
-// version 2 (the extension is informational; readers go by the manifest).
-func shardFile(formatVersion, i int) string {
-	if formatVersion == FormatVersionV3 {
-		return fmt.Sprintf("shard-%05d.gb3", i)
-	}
-	return fmt.Sprintf("shard-%05d.gbk", i)
-}
-
 // Save writes an atomic snapshot of the shards under dir, replacing any
-// previous snapshot there. The metadata fields of m (everything but
-// Shards) must be filled by the caller; m.FormatVersion selects the
-// shard payload format (0 defaults to the framed version-1 layout;
-// FormatVersionV3 writes mappable format-v3 files). Save computes the
-// per-shard entries while writing the payload files in parallel, stages
-// everything in a temp directory with fsync, and renames it into place.
-// It returns the completed manifest.
+// previous snapshot there, in format FormatVersionV3: one mappable
+// format-v3 file per shard, named shard-%05d.gb3. The metadata fields of
+// m (everything but FormatVersion and Shards) must be filled by the
+// caller. Save computes the per-shard entries while writing the shard
+// files in parallel, stages everything in a temp directory with fsync,
+// and renames it into place. It returns the completed manifest.
 func Save(dir string, m Manifest, shards []Shard) (Manifest, error) {
 	if m.Dataset == "" {
 		return Manifest{}, fmt.Errorf("snapshot: dataset name must not be empty")
@@ -153,19 +142,13 @@ func Save(dir string, m Manifest, shards []Shard) (Manifest, error) {
 	if len(shards) == 0 {
 		return Manifest{}, fmt.Errorf("snapshot: no shards to save")
 	}
-	switch m.FormatVersion {
-	case 0:
-		m.FormatVersion = FormatVersion
-	case FormatVersion, FormatVersionV3:
-	default:
-		return Manifest{}, fmt.Errorf("snapshot: cannot write format version %d", m.FormatVersion)
-	}
+	m.FormatVersion = FormatVersionV3
 	m.Shards = make([]ShardEntry, len(shards))
 
 	err := stageAndSwap(dir, func(tmp string) error {
 		if err := forEachShard(len(shards), func(i int) error {
-			name := shardFile(m.FormatVersion, i)
-			entry, err := writeShard(filepath.Join(tmp, name), shards[i], m.FormatVersion)
+			name := fmt.Sprintf("shard-%05d.gb3", i)
+			entry, err := writeShard(filepath.Join(tmp, name), shards[i])
 			if err != nil {
 				return fmt.Errorf("shard %d: %w", i, err)
 			}
@@ -463,9 +446,10 @@ func validateManifest(m *Manifest) error {
 }
 
 // loadShard reads, verifies and decodes one shard payload, cross-checking
-// it against the manifest entry. Both payload formats decode to ordinary
-// in-memory shards here — this is the eager path; OpenLazy is the one
-// that defers v3 payload reads.
+// it against the manifest entry. Both payload formats give ordinary
+// writable in-memory shards here (a v3 block owns the heap copy its views
+// alias) — this is the eager path; OpenLazy is the one that defers v3
+// payload reads.
 func loadShard(dir string, m *Manifest, i int) (Shard, error) {
 	e := &m.Shards[i]
 	path := filepath.Join(dir, e.File)
@@ -485,7 +469,7 @@ func loadShard(dir string, m *Manifest, i int) (Shard, error) {
 		if info.DataCRC != e.CRC32C {
 			return Shard{}, fmt.Errorf("%w: shard file %s data CRC32C %08x, manifest says %08x", ErrCorrupt, e.File, info.DataCRC, e.CRC32C)
 		}
-		blk, err = geoblocks.MapGeoBlock(data)
+		blk, err = geoblocks.MapOwnedGeoBlock(data)
 		if err != nil {
 			return Shard{}, wrapShardErr(e.File, err)
 		}
@@ -552,50 +536,24 @@ func wrapShardErr(file string, err error) error {
 	return fmt.Errorf("%w: shard file %s: %v", ErrCorrupt, file, err)
 }
 
-// writeShard persists one shard block into path in the selected payload
-// format, fsyncs it and returns the manifest entry (File is filled by
-// the caller). For v3 the entry checksum is the file's data-region
-// CRC32C; for framed payloads it is the frame trailer.
-func writeShard(path string, sh Shard, formatVersion int) (ShardEntry, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+// writeShard persists one shard block into path as a format-v3 file,
+// fsyncs it and returns the manifest entry (File is filled by the
+// caller). The entry checksum is the file's data-region CRC32C.
+func writeShard(path string, sh Shard) (ShardEntry, error) {
+	data := sh.Block.EncodeV3()
+	info, err := core.ProbeV3(data, int64(len(data)))
 	if err != nil {
 		return ShardEntry{}, err
 	}
-	var bytes int64
-	var crc uint32
-	if formatVersion == FormatVersionV3 {
-		data := sh.Block.EncodeV3()
-		if _, err := f.Write(data); err != nil {
-			f.Close()
-			return ShardEntry{}, err
-		}
-		info, err := core.ProbeV3(data, int64(len(data)))
-		if err != nil {
-			f.Close()
-			return ShardEntry{}, err
-		}
-		bytes, crc = int64(len(data)), info.DataCRC
-	} else {
-		info, err := sh.Block.WriteFramed(f)
-		if err != nil {
-			f.Close()
-			return ShardEntry{}, err
-		}
-		bytes, crc = info.Bytes, info.CRC32C
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return ShardEntry{}, err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFileSync(path, data); err != nil {
 		return ShardEntry{}, err
 	}
 	return ShardEntry{
 		Cell:   sh.Cell.String(),
 		CellID: fmt.Sprintf("%016x", uint64(sh.Cell)),
 		Rows:   sh.Block.NumTuples(),
-		Bytes:  bytes,
-		CRC32C: crc,
+		Bytes:  int64(len(data)),
+		CRC32C: info.DataCRC,
 	}, nil
 }
 

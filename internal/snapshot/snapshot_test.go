@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -101,9 +102,50 @@ func saveFixture(t *testing.T) (string, []snapshot.Shard, snapshot.Manifest) {
 	return dir, shards, m
 }
 
+// copyV2Fixture copies the committed legacy snapshot in testdata/v2demo
+// into a fresh directory and returns it. It holds docs/FORMAT.md §7's
+// dataset as an earlier build wrote it: format version 1, two framed v2
+// shards over (0,0)–(4,4), fares 10/20/40, block level 2, shard level 1.
+func copyV2Fixture(t *testing.T) string {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "demo")
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "v2demo"))); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestLoadV2Fixture restores bytes this build did not write: the legacy
+// reader must still give the fixture's exact answers.
+func TestLoadV2Fixture(t *testing.T) {
+	m, shards, err := snapshot.Load(copyV2Fixture(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.FormatVersion != snapshot.FormatVersion || len(shards) != 2 {
+		t.Fatalf("fixture loaded at format version %d with %d shards", m.FormatVersion, len(shards))
+	}
+	var count uint64
+	var sum float64
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, sh := range shards {
+		res, err := sh.Block.QueryRect(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(4, 4)},
+			geoblocks.Count(), geoblocks.Sum("fare"), geoblocks.Min("fare"), geoblocks.Max("fare"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		count += res.Count
+		sum += res.Values[1]
+		lo, hi = math.Min(lo, res.Values[2]), math.Max(hi, res.Values[3])
+	}
+	if count != 3 || sum != 70 || lo != 10 || hi != 40 {
+		t.Fatalf("fixture answers count %d sum %v min %v max %v, want 3 70 10 40", count, sum, lo, hi)
+	}
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir, shards, m := saveFixture(t)
-	if m.FormatVersion != snapshot.FormatVersion {
+	if m.FormatVersion != snapshot.FormatVersionV3 {
 		t.Fatalf("saved format version %d", m.FormatVersion)
 	}
 	if len(m.Shards) != len(shards) {
@@ -237,76 +279,81 @@ func firstShard(m map[string]any) map[string]any {
 
 // TestLoadCorruption is the artifact corruption table: truncations,
 // bit flips and version bumps of the manifest and the per-shard
-// payloads, each asserting the typed error and that nothing loads.
+// payloads, each asserting the typed error and that nothing loads. Every
+// case runs on a copy of the committed legacy fixture; the manifest
+// cases also run on a fresh v3 save (TestV3LoadCorruption has the v3
+// shard cases).
 func TestLoadCorruption(t *testing.T) {
 	cases := []struct {
 		name    string
 		corrupt func(t *testing.T, dir string)
 		wantErr error
+		// legacyOnly marks cases that patch a framed .gbk shard file.
+		legacyOnly bool
 	}{
 		{"manifest truncated", func(t *testing.T, dir string) {
 			patchFile(t, filepath.Join(dir, snapshot.ManifestFile), func(b []byte) []byte { return b[:len(b)/2] })
-		}, snapshot.ErrCorrupt},
+		}, snapshot.ErrCorrupt, false},
 		{"manifest bit flip", func(t *testing.T, dir string) {
 			patchFile(t, filepath.Join(dir, snapshot.ManifestFile), func(b []byte) []byte {
 				b[len(b)/3] ^= 0x20
 				return b
 			})
-		}, snapshot.ErrCorrupt},
+		}, snapshot.ErrCorrupt, false},
 		{"manifest version bumped", func(t *testing.T, dir string) {
 			rewriteManifest(t, dir, func(m *map[string]any) { (*m)["format_version"] = 99 })
-		}, snapshot.ErrVersion},
+		}, snapshot.ErrVersion, false},
 		{"manifest checksum sidecar missing", func(t *testing.T, dir string) {
 			if err := os.Remove(filepath.Join(dir, snapshot.ManifestChecksumFile)); err != nil {
 				t.Fatal(err)
 			}
-		}, snapshot.ErrCorrupt},
+		}, snapshot.ErrCorrupt, false},
 		{"manifest checksum sidecar garbage", func(t *testing.T, dir string) {
 			patchFile(t, filepath.Join(dir, snapshot.ManifestChecksumFile), func([]byte) []byte { return []byte("zzzz\n") })
-		}, snapshot.ErrCorrupt},
+		}, snapshot.ErrCorrupt, false},
 		{"manifest rows falsified", func(t *testing.T, dir string) {
 			rewriteManifest(t, dir, func(m *map[string]any) {
 				sh := firstShard(*m)
 				sh["rows"] = sh["rows"].(float64) + 1
 			})
-		}, snapshot.ErrCorrupt},
+		}, snapshot.ErrCorrupt, false},
 		{"manifest crc falsified", func(t *testing.T, dir string) {
 			rewriteManifest(t, dir, func(m *map[string]any) {
 				sh := firstShard(*m)
 				sh["crc32c"] = float64(uint32(sh["crc32c"].(float64)) ^ 1)
 			})
-		}, snapshot.ErrCorrupt},
+		}, snapshot.ErrCorrupt, false},
 		{"manifest shard order swapped", func(t *testing.T, dir string) {
 			rewriteManifest(t, dir, func(m *map[string]any) {
 				shards := (*m)["shards"].([]any)
 				shards[0], shards[1] = shards[1], shards[0]
 			})
-		}, snapshot.ErrCorrupt},
+		}, snapshot.ErrCorrupt, false},
 		{"manifest unsafe shard file name", func(t *testing.T, dir string) {
 			rewriteManifest(t, dir, func(m *map[string]any) {
 				firstShard(*m)["file"] = "../escape.gbk"
 			})
-		}, snapshot.ErrCorrupt},
+		}, snapshot.ErrCorrupt, false},
 		{"shard file missing", func(t *testing.T, dir string) {
 			if err := os.Remove(filepath.Join(dir, "shard-00000.gbk")); err != nil {
 				t.Fatal(err)
 			}
-		}, snapshot.ErrCorrupt},
+		}, snapshot.ErrCorrupt, true},
 		{"shard file truncated", func(t *testing.T, dir string) {
 			patchFile(t, filepath.Join(dir, "shard-00000.gbk"), func(b []byte) []byte { return b[:len(b)-8] })
-		}, snapshot.ErrCorrupt},
+		}, snapshot.ErrCorrupt, true},
 		{"shard frame magic flipped", func(t *testing.T, dir string) {
 			patchFile(t, filepath.Join(dir, "shard-00000.gbk"), func(b []byte) []byte {
 				b[0] ^= 0xff
 				return b
 			})
-		}, snapshot.ErrCorrupt},
+		}, snapshot.ErrCorrupt, true},
 		{"shard payload bit flip", func(t *testing.T, dir string) {
 			patchFile(t, filepath.Join(dir, "shard-00000.gbk"), func(b []byte) []byte {
 				b[len(b)/2] ^= 0x01
 				return b
 			})
-		}, snapshot.ErrCorrupt},
+		}, snapshot.ErrCorrupt, true},
 		{"shard payload version bumped", func(t *testing.T, dir string) {
 			patchFile(t, filepath.Join(dir, "shard-00000.gbk"), func(b []byte) []byte {
 				// Payload version u32 sits at frame offset 16 (after frame
@@ -314,21 +361,27 @@ func TestLoadCorruption(t *testing.T) {
 				binary.LittleEndian.PutUint32(b[16:20], 99)
 				return b
 			})
-		}, snapshot.ErrVersion},
+		}, snapshot.ErrVersion, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir, _, _ := saveFixture(t)
-			tc.corrupt(t, dir)
-			_, shards, err := snapshot.Load(dir)
-			if err == nil {
-				t.Fatal("corrupt snapshot loaded")
+			dirs := []string{copyV2Fixture(t)}
+			if !tc.legacyOnly {
+				dir, _, _ := saveFixture(t)
+				dirs = append(dirs, dir)
 			}
-			if !errors.Is(err, tc.wantErr) {
-				t.Fatalf("error %v, want %v", err, tc.wantErr)
-			}
-			if shards != nil {
-				t.Fatal("corrupt load returned shards")
+			for _, dir := range dirs {
+				tc.corrupt(t, dir)
+				_, shards, err := snapshot.Load(dir)
+				if err == nil {
+					t.Fatalf("corrupt snapshot %s loaded", dir)
+				}
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("%s: error %v, want %v", dir, err, tc.wantErr)
+				}
+				if shards != nil {
+					t.Fatal("corrupt load returned shards")
+				}
 			}
 		})
 	}

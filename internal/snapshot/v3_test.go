@@ -13,20 +13,6 @@ import (
 	"geoblocks/internal/snapshot"
 )
 
-// saveFixtureV3 writes a pristine format-v3 snapshot.
-func saveFixtureV3(t *testing.T) (string, []snapshot.Shard, snapshot.Manifest) {
-	t.Helper()
-	shards := buildShards(t, 4000, 42)
-	dir := filepath.Join(t.TempDir(), "test")
-	m := testManifest(shards)
-	m.FormatVersion = snapshot.FormatVersionV3
-	saved, err := snapshot.Save(dir, m, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dir, shards, saved
-}
-
 // refreshV3TableCRC recomputes a v3 shard file's table checksum after a
 // test rewrites eagerly-checked bytes, so the targeted structural check
 // (not the checksum) has to catch the mutation. The checksum covers
@@ -59,7 +45,7 @@ func queryAll(t *testing.T, shards []snapshot.Shard) []string {
 }
 
 func TestSaveLoadRoundTripV3(t *testing.T) {
-	dir, shards, m := saveFixtureV3(t)
+	dir, shards, m := saveFixture(t)
 	if m.FormatVersion != snapshot.FormatVersionV3 {
 		t.Fatalf("saved format version %d", m.FormatVersion)
 	}
@@ -75,9 +61,11 @@ func TestSaveLoadRoundTripV3(t *testing.T) {
 	if lm.FormatVersion != snapshot.FormatVersionV3 || len(loaded) != len(shards) {
 		t.Fatalf("loaded %d shards at version %d", len(loaded), lm.FormatVersion)
 	}
+	// An eager load owns the bytes its views alias: not mapped, so the
+	// block takes writes.
 	for i := range loaded {
-		if !loaded[i].Block.Mapped() {
-			t.Fatalf("v3 eager load shard %d should be a mapped view", i)
+		if loaded[i].Block.Mapped() {
+			t.Fatalf("v3 eager load shard %d is a read-only mapped view", i)
 		}
 	}
 	want := queryAll(t, shards)
@@ -90,7 +78,7 @@ func TestSaveLoadRoundTripV3(t *testing.T) {
 }
 
 func TestOpenLazy(t *testing.T) {
-	dir, shards, m := saveFixtureV3(t)
+	dir, shards, m := saveFixture(t)
 	lm, lazy, err := snapshot.OpenLazy(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -113,15 +101,14 @@ func TestOpenLazy(t *testing.T) {
 }
 
 func TestOpenLazyRejectsV2(t *testing.T) {
-	dir, _, _ := saveFixture(t) // v2 fixture
-	_, _, err := snapshot.OpenLazy(dir)
+	_, _, err := snapshot.OpenLazy(copyV2Fixture(t))
 	if !errors.Is(err, snapshot.ErrEagerOnly) {
 		t.Fatalf("lazy open of a v2 snapshot: got %v, want ErrEagerOnly", err)
 	}
 }
 
 func TestClone(t *testing.T) {
-	dir, shards, m := saveFixtureV3(t)
+	dir, shards, m := saveFixture(t)
 	dst := filepath.Join(t.TempDir(), "copy")
 	cm, err := snapshot.Clone(dir, dst)
 	if err != nil {
@@ -224,7 +211,7 @@ func TestV3LoadCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir, _, _ := saveFixtureV3(t)
+			dir, _, _ := saveFixture(t)
 			tc.corrupt(t, dir)
 
 			_, shards, err := snapshot.Load(dir)

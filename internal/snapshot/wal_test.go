@@ -1,11 +1,13 @@
 package snapshot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"geoblocks/internal/geom"
@@ -319,4 +321,96 @@ func TestRemoveWAL(t *testing.T) {
 	if err := RemoveWAL(dir, "x"); err != nil {
 		t.Fatalf("missing wal should not error: %v", err)
 	}
+}
+
+// walImage returns a WAL file image with numCols in its header followed
+// by one frame per batch, as Append writes them.
+func walImage(numCols int, batches []WALBatch) []byte {
+	img := make([]byte, walHeaderSize)
+	copy(img, walMagic[:])
+	binary.LittleEndian.PutUint32(img[8:12], uint32(numCols))
+	for _, b := range batches {
+		img = append(img, encodeFrame(b.Seq, b.Points, b.Cols)...)
+	}
+	return img
+}
+
+// FuzzParseWAL feeds arbitrary WAL images to parseWAL. An image must give
+// a typed ErrWALCorrupt, or batches whose frames, re-encoded after the
+// image's header, are exactly the prefix parseWAL says it consumed. It
+// must never panic, and never allocate more than a small multiple of the
+// image's size, whatever row count a frame header claims. The seeds are
+// the images TestWALTornTail, TestWALCorrupt and TestWALOversizedFrame
+// write through OpenWAL.
+func FuzzParseWAL(f *testing.F) {
+	rng := rand.New(rand.NewSource(2))
+	var batches []WALBatch
+	for seq := uint64(1); seq <= 3; seq++ {
+		pts, cols := walBatch(rng, 1+rng.Intn(20), 1)
+		batches = append(batches, WALBatch{Seq: seq, Points: pts, Cols: cols})
+	}
+	clean := walImage(1, batches)
+	oversized := binary.LittleEndian.AppendUint64(walImage(1, batches[:1]), 2)
+	oversized = binary.LittleEndian.AppendUint32(oversized, walMaxFrameRows+1)
+	oversized = binary.LittleEndian.AppendUint32(oversized, 0)
+	flipped := bytes.Clone(clean)
+	flipped[len(flipped)-1] ^= 0x40
+	for _, seed := range []struct {
+		data []byte
+		cols uint8
+	}{
+		{clean, 1},
+		{append(bytes.Clone(clean), 0xde, 0xad, 0xbe, 0xef), 1}, // garbage tail
+		{clean[:len(clean)-5], 1},                               // truncated payload
+		{flipped, 1},                                            // bit flip in last frame
+		{walImage(1, nil), 1},                                   // header only
+		{[]byte("definitely not a wal file"), 1},                // bad magic
+		{walImage(3, nil), 2},                                   // column mismatch
+		{oversized, 1},
+	} {
+		f.Add(seed.data, seed.cols)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, numCols uint8) {
+		cols := int(numCols % 4)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, end, err := parseWAL(data, cols)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			if !errors.Is(err, ErrWALCorrupt) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			if got != nil || end != 0 {
+				t.Fatalf("rejected image still gave %d batches, end %d", len(got), end)
+			}
+			return
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64*uint64(len(data))+1<<16 {
+			t.Fatalf("parsing %d bytes allocated %d", len(data), alloc)
+		}
+		if end == 0 {
+			if len(got) != 0 {
+				t.Fatalf("%d batches from an image with no header", len(got))
+			}
+			return
+		}
+		if end < walHeaderSize || end > len(data) {
+			t.Fatalf("consumed %d of %d bytes", end, len(data))
+		}
+		again := bytes.Clone(data[:walHeaderSize])
+		for _, b := range got {
+			if len(b.Cols) != cols {
+				t.Fatalf("batch %d has %d columns, want %d", b.Seq, len(b.Cols), cols)
+			}
+			for _, c := range b.Cols {
+				if len(c) != len(b.Points) {
+					t.Fatalf("batch %d has a column of %d rows for %d points", b.Seq, len(c), len(b.Points))
+				}
+			}
+			again = append(again, encodeFrame(b.Seq, b.Points, b.Cols)...)
+		}
+		if !bytes.Equal(again, data[:end]) {
+			t.Fatalf("re-encoded batches (%d bytes) differ from the consumed prefix (%d bytes)", len(again), end)
+		}
+	})
 }

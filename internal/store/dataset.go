@@ -601,25 +601,14 @@ func blockPartial(sh *shard, blk *geoblocks.GeoBlock, sub []cellid.ID, lvl int, 
 }
 
 // Snapshot writes a durable snapshot of the dataset to dir: a manifest
-// plus one framed, checksummed GeoBlock payload per shard, staged and
-// renamed atomically (internal/snapshot; docs/FORMAT.md has the bytes).
-// Shard payloads are written in parallel. Snapshotting is a read-only
-// walk over the immutable aggregate arrays, so it is safe concurrently
-// with queries; per-shard cache contents are not persisted — restored
+// plus one checksummed format-v3 file per shard (docs/FORMAT.md Sec. 8),
+// staged and renamed atomically (internal/snapshot). Open restores it
+// eagerly into writable heap blocks; OpenMapped serves it in place.
+// Shard files are written in parallel. Snapshotting is a read-only walk
+// over the immutable aggregate arrays, so it is safe concurrently with
+// queries; per-shard cache contents are not persisted — restored
 // datasets rebuild their caches empty from the recorded configuration.
 func (d *Dataset) Snapshot(dir string) (snapshot.Manifest, error) {
-	return d.snapshot(dir, 0)
-}
-
-// SnapshotV3 writes the snapshot in the mappable format v3 (docs/
-// FORMAT.md Sec. 8): aligned little-endian sections a later restore can
-// serve in place via OpenMapped instead of decoding. Daemons running
-// with mmap serving enabled snapshot in this format.
-func (d *Dataset) SnapshotV3(dir string) (snapshot.Manifest, error) {
-	return d.snapshot(dir, snapshot.FormatVersionV3)
-}
-
-func (d *Dataset) snapshot(dir string, formatVersion int) (snapshot.Manifest, error) {
 	// Fold pending ingest rows into the base first, so the snapshotted
 	// blocks cover every batch up to the manifest's IngestSeq and the
 	// snapshot+WAL pair is a true recovery point. Rows acknowledged after
@@ -641,7 +630,6 @@ func (d *Dataset) snapshot(dir string, formatVersion int) (snapshot.Manifest, er
 	}
 	bound := d.dom.Bound()
 	m := snapshot.Manifest{
-		FormatVersion:      formatVersion,
 		Dataset:            d.name,
 		Level:              d.opts.Level,
 		ShardLevel:         d.opts.ShardLevel,

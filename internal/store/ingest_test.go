@@ -12,6 +12,7 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -417,7 +418,7 @@ func TestIngestSnapshotRecoveryPoint(t *testing.T) {
 func TestMappedWritePathReadOnly(t *testing.T) {
 	d := buildDataset(t, "ro", 2000, 4, Options{Level: 10})
 	dir := filepath.Join(t.TempDir(), "ro")
-	if _, err := d.SnapshotV3(dir); err != nil {
+	if _, err := d.Snapshot(dir); err != nil {
 		t.Fatal(err)
 	}
 	md, err := OpenMapped(dir, "", nil)
@@ -440,6 +441,98 @@ func TestMappedWritePathReadOnly(t *testing.T) {
 	}
 	if err := md.EnableWAL(t.TempDir()); !errors.Is(err, core.ErrReadOnly) {
 		t.Errorf("EnableWAL on mapped: err = %v, want ErrReadOnly", err)
+	}
+}
+
+// snapshotAndOpen snapshots d and restores the snapshot eagerly, the way
+// a daemon without -mmap restarts.
+func snapshotAndOpen(t *testing.T, d *Dataset) *Dataset {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), d.Name())
+	m, err := d.Snapshot(dir)
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if m.FormatVersion != snapshot.FormatVersionV3 {
+		t.Fatalf("snapshot written at format version %d, want %d", m.FormatVersion, snapshot.FormatVersionV3)
+	}
+	rd, err := Open(dir, "")
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if rd.Mapped() {
+		t.Fatal("Open returned a mapped dataset")
+	}
+	return rd
+}
+
+// TestEagerRestoreWritePath runs the write path on a dataset as built
+// and on its v3 snapshot restored eagerly: Ingest, Compact, Update, then
+// Snapshot and Open again must all succeed, and after each step both
+// answer like a dataset that took the same writes and never left
+// memory. An eager v3 restore owns its heap blocks; were they read-only
+// mapped views, the Compact would refuse them with ErrReadOnly.
+func TestEagerRestoreWritePath(t *testing.T) {
+	const rows, seed = 3000, 12
+	opts := Options{Level: 10, ShardLevel: 1, PyramidLevels: 2}
+	polys := randomPolys(20, 41)
+	check := func(t *testing.T, got, want *Dataset, step string) {
+		t.Helper()
+		for i, p := range polys {
+			w, err := want.Query(p, testReqs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := got.Query(p, testReqs...)
+			if err != nil {
+				t.Fatalf("%s: query %d: %v", step, i, err)
+			}
+			assertEquivalent(t, g, w, fmt.Sprintf("%s, polygon %d", step, i))
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		open func(t *testing.T, d *Dataset) *Dataset
+	}{
+		{"built", func(_ *testing.T, d *Dataset) *Dataset { return d }},
+		{"restored-v3", snapshotAndOpen},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := buildDataset(t, "w", rows, seed, opts)
+			d := tc.open(t, buildDataset(t, "w", rows, seed, opts))
+			check(t, d, want, "open")
+
+			pts, cols := genIngestRows(rand.New(rand.NewSource(13)), 400)
+			for _, ds := range []*Dataset{want, d} {
+				if _, err := ds.Ingest(pts, cols); err != nil {
+					t.Fatalf("Ingest: %v", err)
+				}
+			}
+			check(t, d, want, "ingest")
+
+			for _, ds := range []*Dataset{want, d} {
+				if st, err := ds.Compact(); err != nil || st.Rows != len(pts) {
+					t.Fatalf("Compact: folded %d rows, err %v; want %d rows", st.Rows, err, len(pts))
+				}
+			}
+			check(t, d, want, "compact")
+
+			// Update lands on the build's own points, so every row finds
+			// an aggregated cell.
+			upts, _ := testRows(100, seed)
+			ucols := [][]float64{make([]float64, len(upts)), make([]float64, len(upts))}
+			for i := range upts {
+				ucols[0][i], ucols[1][i] = float64(i), float64(-i)
+			}
+			for _, ds := range []*Dataset{want, d} {
+				if err := ds.Update(&geoblocks.UpdateBatch{Points: upts, Cols: ucols}); err != nil {
+					t.Fatalf("Update: %v", err)
+				}
+			}
+			check(t, d, want, "update")
+
+			check(t, snapshotAndOpen(t, d), want, "snapshot and reopen")
+		})
 	}
 }
 

@@ -14,13 +14,13 @@ import (
 	"geoblocks/internal/snapshot"
 )
 
-// saveV3Dataset builds a sharded dataset and snapshots it in format v3.
+// saveV3Dataset builds a sharded dataset and snapshots it (format v3).
 func saveV3Dataset(t *testing.T, rows int, opts Options) (*Dataset, string) {
 	t.Helper()
 	d := buildDataset(t, "mapped", rows, 11, opts)
 	dir := filepath.Join(t.TempDir(), "mapped")
-	if _, err := d.SnapshotV3(dir); err != nil {
-		t.Fatalf("SnapshotV3: %v", err)
+	if _, err := d.Snapshot(dir); err != nil {
+		t.Fatalf("Snapshot: %v", err)
 	}
 	return d, dir
 }
@@ -398,11 +398,12 @@ func TestMappedSnapshotClone(t *testing.T) {
 }
 
 // TestRestoreMappedFallbackV2: a store with mmap serving enabled still
-// restores version-1 snapshots — eagerly, transparently.
+// restores version-1 snapshots — eagerly, transparently. The snapshot is
+// a copy of the legacy fixture an earlier build wrote (nothing writes
+// version 1 any more).
 func TestRestoreMappedFallbackV2(t *testing.T) {
-	d := buildDataset(t, "legacy", 4000, 11, Options{Level: 10, ShardLevel: 1})
-	dir := filepath.Join(t.TempDir(), "legacy")
-	if _, err := d.Snapshot(dir); err != nil {
+	dir := filepath.Join(t.TempDir(), "demo")
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("..", "snapshot", "testdata", "v2demo"))); err != nil {
 		t.Fatal(err)
 	}
 	st := New()
@@ -414,8 +415,8 @@ func TestRestoreMappedFallbackV2(t *testing.T) {
 	if rd.Mapped() {
 		t.Fatal("v2 snapshot cannot be mapped")
 	}
-	got, err := rd.Query(randomPolys(1, 5)[0], testReqs...)
-	if err != nil || got.Count == 0 {
-		t.Fatalf("fallback dataset does not serve: count=%d err=%v", got.Count, err)
+	got, err := rd.QueryRect(geom.Rect{Min: geom.Pt(0, 0), Max: geom.Pt(4, 4)}, geoblocks.Count())
+	if err != nil || got.Count != 3 {
+		t.Fatalf("fallback dataset does not serve: count=%d err=%v, want 3", got.Count, err)
 	}
 }

@@ -143,7 +143,7 @@ func TestRestoreCorruptNeverRegisters(t *testing.T) {
 	}
 	// Flip one payload byte in one shard: the whole restore must fail and
 	// register nothing.
-	path := filepath.Join(dir, "shard-00000.gbk")
+	path := filepath.Join(dir, "shard-00000.gb3")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

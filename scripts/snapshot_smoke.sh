@@ -1,15 +1,17 @@
 #!/bin/sh
 # snapshot_smoke.sh — end-to-end snapshot round trip against a real
-# geoblocksd: build the daemon, create a dataset, query it, snapshot it,
-# kill the daemon, restart it with the same -data-dir, and verify the
-# restored dataset answers the query identically. Then the mmap legs:
-# restart with -mmap against the v2 snapshot (eager fallback must serve
-# it), re-snapshot (which writes format v3), and restart with -mmap
-# once more (true mapped serving, shards faulted on demand) — the
-# answers must be byte-identical across all four runs. Finally the
-# ingest leg: acknowledge row batches over the WAL, SIGKILL the daemon
-# (no graceful shutdown, no snapshot), restart, and verify every acked
-# row survived exactly once. Run from anywhere inside the repository:
+# geoblocksd: build the daemon, create a dataset, query it, snapshot it
+# (format v3), kill the daemon, restart it with the same -data-dir, and
+# verify the eagerly restored dataset answers the query identically.
+# Then the mmap leg: restart with -mmap on the same snapshot (mapped
+# serving, shards faulted on demand) and re-snapshot it, which clones
+# the mapped files — the answers must be byte-identical across all
+# three runs. Finally the ingest leg: acknowledge row batches over the
+# WAL, SIGKILL the daemon (no graceful shutdown, no snapshot), restart,
+# verify every acked row survived exactly once, and keep ingesting,
+# compacting and snapshotting on the eagerly restored v3 dataset.
+# Legacy v2 snapshots are covered by the Go tests' committed fixture
+# (internal/snapshot/testdata). Run from anywhere inside the repository:
 #
 #   scripts/snapshot_smoke.sh [port]
 set -eu
@@ -68,6 +70,8 @@ curl -sf -X POST "$base/v1/datasets/taxi/snapshot" >"$work/snap.json" ||
 	fail "snapshot endpoint failed"
 [ -f "$work/data/taxi/manifest.json" ] || fail "no manifest written"
 [ -f "$work/data/taxi/manifest.crc32c" ] || fail "no manifest sidecar written"
+grep -q '"format_version": *2' "$work/snap.json" || fail "snapshot did not report format_version 2"
+ls "$work/data/taxi/" | grep -q '\.gb3$' || fail "no .gb3 shard files written"
 
 kill -TERM "$pid"
 wait "$pid" || fail "daemon did not exit cleanly"
@@ -88,30 +92,7 @@ kill -TERM "$pid"
 wait "$pid" || fail "second daemon did not exit cleanly"
 pid=""
 
-echo "snapshot_smoke: third run (-mmap against the v2 snapshot: eager fallback, then re-snapshot as v3)"
-"$work/geoblocksd" -addr "127.0.0.1:$port" -data-dir "$work/data" -mmap \
-	>"$work/daemon.log" 2>&1 &
-pid=$!
-wait_ready
-# v2 snapshots are not mappable; -mmap must fall back to an eager
-# restore ("restored", not "mapped") and still serve correct answers.
-grep -q "restored taxi" "$work/daemon.log" || fail "-mmap daemon did not eager-fallback on the v2 snapshot"
-
-query >"$work/mmap-fallback.json"
-diff -u "$work/before.json" "$work/mmap-fallback.json" ||
-	fail "-mmap eager-fallback answers differently"
-
-# Re-snapshot under -mmap: the writer now produces format v3.
-curl -sf -X POST "$base/v1/datasets/taxi/snapshot" >"$work/snap-v3.json" ||
-	fail "v3 snapshot endpoint failed"
-grep -q '"format_version": *2' "$work/snap-v3.json" || fail "-mmap snapshot did not report format_version 2"
-ls "$work/data/taxi/" | grep -q '\.gb3$' || fail "no .gb3 shard files written"
-
-kill -TERM "$pid"
-wait "$pid" || fail "third daemon did not exit cleanly"
-pid=""
-
-echo "snapshot_smoke: fourth run (-mmap against the v3 snapshot: mapped serving)"
+echo "snapshot_smoke: third run (-mmap against the same snapshot: mapped serving, re-snapshot by clone)"
 "$work/geoblocksd" -addr "127.0.0.1:$port" -data-dir "$work/data" -mmap \
 	>"$work/daemon.log" 2>&1 &
 pid=$!
@@ -126,8 +107,16 @@ diff -u "$work/before.json" "$work/mmap.json" ||
 curl -sf "$base/v1/stats" | grep -q '"faults": *[1-9]' ||
 	fail "mapped serving reported no shard faults"
 
+# A mapped dataset snapshots by cloning the files it serves.
+curl -sf -X POST "$base/v1/datasets/taxi/snapshot" \
+	-d "{\"path\": \"$work/clone/taxi\"}" >"$work/snap-clone.json" ||
+	fail "mapped snapshot endpoint failed"
+grep -q '"format_version": *2' "$work/snap-clone.json" || fail "mapped snapshot did not report format_version 2"
+cmp "$work/data/taxi/manifest.json" "$work/clone/taxi/manifest.json" ||
+	fail "mapped snapshot is not a clone of the served snapshot"
+
 kill -TERM "$pid"
-wait "$pid" || fail "fourth daemon did not exit cleanly"
+wait "$pid" || fail "third daemon did not exit cleanly"
 pid=""
 
 # --- Ingest leg: acked batches must survive a SIGKILL exactly once. ---
@@ -152,7 +141,7 @@ ingest_batch() {
 	]}' | grep -q '"seq"'
 }
 
-echo "snapshot_smoke: fifth run (ingest over the WAL, then SIGKILL)"
+echo "snapshot_smoke: fourth run (ingest over the WAL, then SIGKILL)"
 ingdir="$work/ingest-data"
 "$work/geoblocksd" -addr "127.0.0.1:$port" -data-dir "$ingdir" \
 	-load taxi:30000 -shard-level 2 -compact-interval 500ms >"$work/daemon.log" 2>&1 &
@@ -184,7 +173,7 @@ kill -KILL "$pid"
 wait "$pid" 2>/dev/null || true
 pid=""
 
-echo "snapshot_smoke: sixth run (recover acked rows from the WAL)"
+echo "snapshot_smoke: fifth run (recover acked rows from the WAL, keep writing)"
 "$work/geoblocksd" -addr "127.0.0.1:$port" -data-dir "$ingdir" \
 	>"$work/daemon.log" 2>&1 &
 pid=$!
@@ -195,16 +184,19 @@ recovered=$(count)
 [ "$recovered" = "$((base_count + 15))" ] ||
 	fail "post-crash count $recovered, want $((base_count + 15)): acked rows lost or double-counted"
 
-# Ingest keeps working after recovery, and folding changes nothing.
+# The restore is an eager load of a v3 snapshot: ingest keeps working,
+# folding changes nothing, and the folded dataset snapshots again.
 ingest_batch || fail "post-recovery ingest batch not acknowledged"
 curl -sf -X POST "$base/v1/datasets/taxi/compact" >/dev/null ||
 	fail "post-recovery compact failed"
 final=$(count)
 [ "$final" = "$((base_count + 20))" ] ||
 	fail "post-recovery count $final, want $((base_count + 20))"
+curl -sf -X POST "$base/v1/datasets/taxi/snapshot" >/dev/null ||
+	fail "post-recovery snapshot failed"
 
 kill -TERM "$pid"
-wait "$pid" || fail "sixth daemon did not exit cleanly"
+wait "$pid" || fail "fifth daemon did not exit cleanly"
 pid=""
 
-echo "snapshot_smoke: OK (restored, eager-fallback and mapped answers identical; acked ingest survived SIGKILL exactly once)"
+echo "snapshot_smoke: OK (restored and mapped answers identical; acked ingest survived SIGKILL exactly once; the restored v3 dataset took writes)"
