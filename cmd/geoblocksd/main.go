@@ -4,8 +4,7 @@
 // Usage:
 //
 //	geoblocksd [-addr :8080] [-load spec[:rows]]... [-level N]
-//	           [-shard-level N] [-cache F] [-cache-refresh N]
-//	           [-pyramid-levels N] [-result-cache-bytes N]
+//	           [-shard-level N] [-pyramid-levels N] [-result-cache-bytes N]
 //	           [-result-cache-min-hits N] [-seed N] [-drain D]
 //	           [-data-dir DIR] [-snapshot-on-exit]
 //	           [-compact-interval D] [-delta-max-rows N]
@@ -14,8 +13,11 @@
 //
 // Each -load builds one synthetic dataset at startup (spec taxi, tweets
 // or osm; default 100000 rows), registered under the spec name. More
-// datasets — with per-dataset level, sharding, cache and pyramid
+// datasets — with per-dataset level, sharding, result-cache and pyramid
 // configuration — can be created at runtime via POST /v1/datasets.
+// Served datasets carry no per-shard AggregateTrie: the dataset-level
+// result cache answers repeated queries instead (the trie stays an
+// in-process feature of the geoblocks package).
 //
 // -pyramid-levels derives that many coarser grid levels per shard; the
 // query planner then answers /v1/query requests carrying "max_error" at
@@ -92,6 +94,8 @@
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: the listener closes
 // immediately, in-flight requests get -drain (default 5s) to finish.
+// A request must arrive whole within 60 s, its headers within 10 s; a
+// client that stalls mid-body is disconnected.
 package main
 
 import (
@@ -144,8 +148,6 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		level        = flag.Int("level", httpapi.DefaultLevel, "block grid level for -load datasets")
 		shardLevel   = flag.Int("shard-level", 2, "shard prefix level for -load datasets (0 = unsharded)")
-		cache        = flag.Float64("cache", 0.10, "per-shard cache aggregate threshold for -load datasets (0 = no cache)")
-		cacheRefresh = flag.Int("cache-refresh", 2000, "per-shard cache auto-refresh cadence in queries (0 = manual)")
 		pyramid      = flag.Int("pyramid-levels", 4, "coarser pyramid levels per shard for -load datasets (0 = full resolution only)")
 		rcBytes      = flag.Int64("result-cache-bytes", 64<<20, "result cache byte budget for -load datasets (0 = no result cache)")
 		rcMinHits    = flag.Int("result-cache-min-hits", resultcache.DefaultMinHits, "result cache admission floor for -load datasets (0 = admit on first miss)")
@@ -228,8 +230,6 @@ func main() {
 		d, err := httpapi.BuildSynthetic(ls.spec, ls.spec, ls.rows, *seed, store.Options{
 			Level:              *level,
 			ShardLevel:         *shardLevel,
-			CacheThreshold:     *cache,
-			CacheAutoRefresh:   *cacheRefresh,
 			PyramidLevels:      *pyramid,
 			ResultCacheBytes:   *rcBytes,
 			ResultCacheMinHits: *rcMinHits,
@@ -445,6 +445,13 @@ func snapshotAll(st *store.Store, dataDir string, logf func(string, ...any)) err
 	return firstErr
 }
 
+// readTimeout bounds reading one whole request, headers and body: a
+// client that stops sending mid-body is dropped when it expires. It
+// leaves room for the largest body the API takes (the 32 MiB ingest cap)
+// at about 1 MB/s. A handler that is still running when it expires sees
+// its request context cancelled. A variable only so tests can shorten it.
+var readTimeout = 60 * time.Second
+
 // serve runs an HTTP server on l until ctx is cancelled, then shuts down
 // gracefully: the listener closes immediately, in-flight requests get
 // drainTimeout to complete. It returns nil on a clean (signal-initiated)
@@ -452,10 +459,12 @@ func snapshotAll(st *store.Store, dataDir string, logf func(string, ...any)) err
 func serve(ctx context.Context, l net.Listener, h http.Handler, drainTimeout time.Duration) error {
 	srv := &http.Server{
 		Handler: h,
-		// Bound slow clients so trickled headers and abandoned idle
-		// connections cannot pin goroutines and fds forever; request
-		// bodies are separately capped by the handler (httpapi).
+		// Bound slow clients so trickled headers, stalled bodies and
+		// abandoned idle connections cannot pin goroutines and fds
+		// forever; request body sizes are separately capped by the
+		// handler (httpapi).
 		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       readTimeout,
 		IdleTimeout:       2 * time.Minute,
 	}
 	errc := make(chan error, 1)

@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bufio"
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -14,6 +18,101 @@ import (
 	"geoblocks"
 	"geoblocks/internal/store"
 )
+
+// TestMain lets a test run the daemon's main in a child process: with
+// GEOBLOCKSD_RUN_MAIN set, the test binary is geoblocksd.
+func TestMain(m *testing.M) {
+	if os.Getenv("GEOBLOCKSD_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRetiredCacheFlags pins that the per-shard AggregateTrie flags are
+// gone: a command line that still sets one fails at flag parsing instead
+// of starting a daemon that silently serves without the trie.
+func TestRetiredCacheFlags(t *testing.T) {
+	for _, args := range [][]string{{"-cache", "0.1"}, {"-cache-refresh", "2000"}} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+		cmd.Env = append(os.Environ(), "GEOBLOCKSD_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() <= 0 {
+			t.Fatalf("geoblocksd %v: err %v, want a non-zero exit (output %q)", args, err, out)
+		}
+		if want := "flag provided but not defined: " + args[0]; !strings.Contains(string(out), want) {
+			t.Fatalf("geoblocksd %v: output %q does not say %q", args, out, want)
+		}
+	}
+}
+
+// TestStalledBodyIsDropped pins the read deadline: a client that sends
+// its headers and 30 bytes of a longer body, then stalls, is
+// disconnected once readTimeout passes, and the handler's body read
+// fails instead of waiting for the rest.
+func TestStalledBodyIsDropped(t *testing.T) {
+	if readTimeout <= 0 {
+		t.Fatalf("readTimeout %v: stalled bodies are never dropped", readTimeout)
+	}
+	defer func(d time.Duration) { readTimeout = d }(readTimeout)
+	readTimeout = 300 * time.Millisecond
+
+	readErr := make(chan error, 1)
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, err := io.ReadAll(r.Body)
+		readErr <- err
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+		}
+	})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- serve(ctx, l, h, time.Second) }()
+	defer func() {
+		cancel()
+		<-served
+	}()
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body := `{"dataset":"taxi","rect":[-74.`
+	if len(body) != 30 {
+		t.Fatalf("stalled body is %d bytes, want 30", len(body))
+	}
+	start := time.Now()
+	fmt.Fprintf(conn, "POST /v1/query HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: 200\r\n\r\n%s", body)
+
+	select {
+	case err := <-readErr:
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("body read ended with %v, want a timeout", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("body read still blocked 10 s after the client stalled")
+	}
+	// The server closes the connection: whatever it answered, the client
+	// reads to EOF.
+	if err := conn.SetReadDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, bufio.NewReader(conn)); err != nil {
+		t.Fatalf("connection not closed after the read deadline: %v", err)
+	}
+	if waited := time.Since(start); waited < readTimeout {
+		t.Fatalf("dropped after %v, before the %v deadline", waited, readTimeout)
+	}
+}
 
 // TestGracefulShutdown verifies the serve loop: cancelling the context
 // closes the listener but lets an in-flight request finish.

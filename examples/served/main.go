@@ -17,20 +17,21 @@ import (
 	"time"
 
 	"geoblocks/internal/httpapi"
+	"geoblocks/internal/resultcache"
 	"geoblocks/internal/store"
 )
 
 func main() {
 	// Build the daemon side: a store with one spatially sharded taxi
-	// dataset (4^2 = up to 16 shards, per-shard query caches), served on
-	// an ephemeral local port. In production this half is just
-	// `geoblocksd -load taxi:200000`.
+	// dataset (4^2 = up to 16 shards) behind the daemon's default result
+	// cache, served on an ephemeral local port. In production this half
+	// is just `geoblocksd -load taxi:200000`.
 	st := store.New()
 	ds, err := httpapi.BuildSynthetic("taxi", "taxi", 200_000, 1, store.Options{
-		Level:            13,
-		ShardLevel:       2,
-		CacheThreshold:   0.10,
-		CacheAutoRefresh: 25,
+		Level:              13,
+		ShardLevel:         2,
+		ResultCacheBytes:   64 << 20,
+		ResultCacheMinHits: resultcache.DefaultMinHits,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -126,7 +127,9 @@ func main() {
 			i, res.Count, fv(1), fv(2))
 	}
 
-	// 3. Cache effectiveness after some repeated traffic.
+	// 3. Result-cache effectiveness after some repeated traffic: once a
+	// polygon has repeated often enough to be admitted, its answer comes
+	// from the cache without covering or touching a shard.
 	for i := 0; i < 50; i++ {
 		post("/v1/query", batch)
 	}
@@ -134,8 +137,12 @@ func main() {
 	if err := json.Unmarshal(get("/v1/stats?dataset=taxi"), &stats); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nafter 51 batches: %d queries served, cache probes=%d full hits=%d\n",
-		stats.Queries, stats.Cache.Probes, stats.Cache.FullHits)
+	var hits, misses uint64
+	if rc := stats.ResultCache; rc != nil {
+		hits, misses = rc.Hits, rc.Misses
+	}
+	fmt.Printf("\nafter 51 batches: %d queries served, result cache hits=%d misses=%d\n",
+		stats.Queries, hits, misses)
 
 	// 4. Graceful shutdown: in-flight requests drain before exit.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

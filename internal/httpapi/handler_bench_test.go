@@ -115,8 +115,6 @@ var benchHandler = sync.OnceValues(func() (http.Handler, error) {
 	d, err := BuildSynthetic("taxi", "taxi", 300_000, 1, store.Options{
 		Level:              14,
 		ShardLevel:         2,
-		CacheThreshold:     0.10,
-		CacheAutoRefresh:   2000,
 		PyramidLevels:      4,
 		ResultCacheBytes:   64 << 20,
 		ResultCacheMinHits: 2,

@@ -265,8 +265,8 @@ type queryRequest struct {
 	// Workers is accepted and range-checked for compatibility with older
 	// clients, and otherwise ignored: every query runs one kernel.
 	Workers int `json:"workers,omitempty"`
-	// NoCache answers directly from the aggregate arrays even when the
-	// dataset carries query caches.
+	// NoCache bypasses the dataset's result cache: the answer is
+	// computed from the aggregate arrays.
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
@@ -502,10 +502,6 @@ type createRequest struct {
 	// Level is the block grid level; 0 picks the default (14).
 	Level      int `json:"level"`
 	ShardLevel int `json:"shard_level"`
-	// CacheThreshold > 0 enables per-shard query caches with that
-	// aggregate-threshold fraction.
-	CacheThreshold   float64 `json:"cache_threshold"`
-	CacheAutoRefresh int     `json:"cache_auto_refresh"`
 	// PyramidLevels derives that many coarser levels per shard for the
 	// query planner's max_error knob (0 = full resolution only).
 	PyramidLevels int `json:"pyramid_levels"`
@@ -547,11 +543,27 @@ func BuildSynthetic(name, specName string, rows int, seed int64, opts store.Opti
 func (s *server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 	s.reqDatasets.Add(1)
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var req createRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	var body struct {
+		createRequest
+		// The per-shard AggregateTrie's knobs. Served datasets carry no
+		// trie, so a non-zero value is refused by name rather than
+		// dropped: a client that asks for the trie learns it is gone.
+		CacheThreshold   float64 `json:"cache_threshold"`
+		CacheAutoRefresh float64 `json:"cache_auto_refresh"`
+	}
+	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
 		writeError(w, http.StatusBadRequest, "malformed request body: %v", err)
 		return
 	}
+	if body.CacheThreshold != 0 || body.CacheAutoRefresh != 0 {
+		key := "cache_threshold"
+		if body.CacheThreshold == 0 {
+			key = "cache_auto_refresh"
+		}
+		writeError(w, http.StatusBadRequest, "%s is not supported: served datasets carry no per-shard AggregateTrie", key)
+		return
+	}
+	req := body.createRequest
 	if req.Name == "" {
 		writeError(w, http.StatusBadRequest, "missing name")
 		return
@@ -616,8 +628,6 @@ func (s *server) handleCreateDataset(w http.ResponseWriter, r *http.Request) {
 		d, err = BuildSynthetic(req.Name, req.Spec, req.Rows, req.Seed, store.Options{
 			Level:              req.Level,
 			ShardLevel:         req.ShardLevel,
-			CacheThreshold:     req.CacheThreshold,
-			CacheAutoRefresh:   req.CacheAutoRefresh,
 			PyramidLevels:      req.PyramidLevels,
 			ResultCacheBytes:   req.ResultCacheBytes,
 			ResultCacheMinHits: req.ResultCacheMinHits,
@@ -793,7 +803,8 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics renders Prometheus-style text metrics: per-dataset sizes,
-// query counts and cache effectiveness counters, plus daemon totals.
+// query counts and result-cache effectiveness counters, plus daemon
+// totals.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reqMetrics.Add(1)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -868,12 +879,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			writeMetric("geoblocks_dataset_resident_bytes", l, float64(st.ResidentBytes))
 			writeMetric("geoblocks_dataset_resident_shards", l, float64(st.ResidentShards))
 		}
-		writeMetric("geoblocks_cache_bytes", l, float64(st.CacheBytes))
-		writeMetric("geoblocks_cache_probes_total", l, float64(st.Cache.Probes))
-		writeMetric("geoblocks_cache_full_hits_total", l, float64(st.Cache.FullHits))
-		writeMetric("geoblocks_cache_partial_hits_total", l, float64(st.Cache.PartialHits))
-		writeMetric("geoblocks_cache_misses_total", l, float64(st.Cache.Misses))
-		writeMetric("geoblocks_cache_derived_hits_total", l, float64(st.Cache.DerivedHits))
 		// Result-cache counters are emitted for every dataset — zeros when
 		// no result cache is attached — so scrapers and alert rules never
 		// see a series appear or vanish with the cache configuration.

@@ -17,10 +17,9 @@ func testStore(t *testing.T) *store.Store {
 	t.Helper()
 	st := store.New()
 	d, err := BuildSynthetic("taxi", "taxi", 20_000, 1, store.Options{
-		Level:          12,
-		ShardLevel:     2,
-		CacheThreshold: 0.1,
-		PyramidLevels:  4,
+		Level:         12,
+		ShardLevel:    2,
+		PyramidLevels: 4,
 	})
 	if err != nil {
 		t.Fatalf("BuildSynthetic: %v", err)
@@ -339,9 +338,10 @@ func TestDatasetsEndpoint(t *testing.T) {
 		t.Errorf("taxi not sharded: %s", body)
 	}
 
-	// Create a second dataset with its own cache configuration, query it,
-	// then drop it.
-	create := `{"name":"tweets-small","spec":"tweets","rows":5000,"level":10,"shard_level":1,"cache_threshold":0.25}`
+	// Create a second dataset with its own configuration, then drop it.
+	// Zero AggregateTrie knobs, as an older client sends by default, are
+	// accepted and build no trie.
+	create := `{"name":"tweets-small","spec":"tweets","rows":5000,"level":10,"shard_level":1,"cache_threshold":0,"cache_auto_refresh":0}`
 	resp, body = postJSON(t, ts, "/v1/datasets", create)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create status %d: %s", resp.StatusCode, body)
@@ -350,7 +350,7 @@ func TestDatasetsEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatalf("unmarshal create: %v", err)
 	}
-	if !st.CacheEnabled || st.ShardLevel != 1 {
+	if st.CacheEnabled || st.ShardLevel != 1 {
 		t.Fatalf("create stats = %s", body)
 	}
 
@@ -399,6 +399,32 @@ func TestDatasetsEndpoint(t *testing.T) {
 	}
 }
 
+// TestCreateRejectsTrieKnobs pins that served datasets carry no
+// AggregateTrie: a create body asking for one gets a 400 naming the
+// key, and nothing is registered.
+func TestCreateRejectsTrieKnobs(t *testing.T) {
+	st := testStore(t)
+	_, h := newServer(st, Config{})
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	for key, body := range map[string]string{
+		"cache_threshold":    `{"name":"x","spec":"taxi","rows":10,"cache_threshold":0.1}`,
+		"cache_auto_refresh": `{"name":"x","spec":"taxi","rows":10,"cache_auto_refresh":2000}`,
+	} {
+		resp, data := postJSON(t, ts, "/v1/datasets", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (%s)", key, resp.StatusCode, data)
+		}
+		var e errorResponse
+		if err := json.Unmarshal(data, &e); err != nil || !strings.Contains(e.Error, key) {
+			t.Fatalf("%s: error %q does not name the key", key, data)
+		}
+		if _, ok := st.Get("x"); ok {
+			t.Fatalf("%s: refused create registered a dataset", key)
+		}
+	}
+}
+
 func TestStatsAndMetricsEndpoints(t *testing.T) {
 	_, h := newServer(testStore(t), Config{})
 	ts := httptest.NewServer(h)
@@ -438,13 +464,15 @@ func TestStatsAndMetricsEndpoints(t *testing.T) {
 		`geoblocks_dataset_queries_total{dataset="taxi"} 3`,
 		`geoblocks_dataset_tuples{dataset="taxi"}`,
 		`geoblocks_dataset_shards{dataset="taxi"}`,
-		`geoblocks_cache_probes_total{dataset="taxi"}`,
 		`geoblocksd_requests_total{endpoint="query"} 3`,
 		"geoblocksd_uptime_seconds",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics output missing %q:\n%s", want, text)
 		}
+	}
+	if strings.Contains(text, "geoblocks_cache_") {
+		t.Errorf("metrics output still has AggregateTrie series:\n%s", text)
 	}
 }
 

@@ -7,11 +7,14 @@ package httpapi
 // series.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -163,16 +166,18 @@ func TestIngestEndpoint(t *testing.T) {
 	})
 }
 
-// TestIngestErrors is the malformed-ingest table: every rejection must
-// carry its typed status and leave the dataset untouched — the count
-// observed through the query endpoint never moves.
-func TestIngestErrors(t *testing.T) {
-	st := testStore(t)
-	_, h := newServer(st, Config{})
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-	base := taxiCount(t, ts, "taxi")
+// ingestErrorCase is one row of the malformed-ingest table.
+type ingestErrorCase struct {
+	name        string
+	path        string
+	contentType string
+	body        string
+	want        int
+}
 
+// ingestErrorCases is the malformed-ingest table TestIngestErrors posts
+// and FuzzIngestNDJSON is seeded from.
+func ingestErrorCases() []ingestErrorCase {
 	bigBatch := func() string {
 		var b strings.Builder
 		b.WriteString(`{"rows":[`)
@@ -185,14 +190,7 @@ func TestIngestErrors(t *testing.T) {
 		b.WriteString(`]}`)
 		return b.String()
 	}
-
-	cases := []struct {
-		name        string
-		path        string
-		contentType string
-		body        string
-		want        int
-	}{
+	return []ingestErrorCase{
 		{"malformed json", "/v1/datasets/taxi/rows", "application/json", `{"rows": [[1,2`, http.StatusBadRequest},
 		{"missing rows", "/v1/datasets/taxi/rows", "application/json", `{}`, http.StatusBadRequest},
 		{"empty rows", "/v1/datasets/taxi/rows", "application/json", `{"rows":[]}`, http.StatusBadRequest},
@@ -224,7 +222,19 @@ func TestIngestErrors(t *testing.T) {
 		{"empty ndjson", "/v1/datasets/taxi/rows", "application/x-ndjson", "\n\n", http.StatusBadRequest},
 		{"compact unknown dataset", "/v1/datasets/nope/compact", "application/json", "", http.StatusNotFound},
 	}
-	for _, tc := range cases {
+}
+
+// TestIngestErrors is the malformed-ingest table: every rejection must
+// carry its typed status and leave the dataset untouched — the count
+// observed through the query endpoint never moves.
+func TestIngestErrors(t *testing.T) {
+	st := testStore(t)
+	_, h := newServer(st, Config{})
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	base := taxiCount(t, ts, "taxi")
+
+	for _, tc := range ingestErrorCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, body := postBody(t, ts, tc.path, tc.contentType, tc.body)
 			if resp.StatusCode != tc.want {
@@ -259,6 +269,77 @@ func TestIngestErrors(t *testing.T) {
 		}
 		if got := taxiCount(t, ts, "taxi"); got != base {
 			t.Fatalf("backpressured ingest applied rows: count %d, want %d", got, base)
+		}
+	})
+}
+
+// FuzzIngestNDJSON holds the NDJSON rows reader to its contract on any
+// body: a typed 400/413 with no rows, or a batch of 1 to maxIngestRows
+// rows, at most one per line, every column as long as the points, that
+// re-encodes to NDJSON parsing back to the same bits. It must never
+// panic, and never allocate more than a small multiple of the body's
+// size past the line scanner's fixed buffer. The seeds are the bodies of
+// the malformed-ingest table and of TestIngestEndpoint's NDJSON case.
+func FuzzIngestNDJSON(f *testing.F) {
+	f.Add(taxiRow1 + "\n\n" + taxiRow2 + "\n")
+	for _, tc := range ingestErrorCases() {
+		if len(tc.body) <= 1<<12 {
+			f.Add(tc.body)
+		}
+	}
+	spec, _ := SpecByName("taxi")
+	schema := spec.Schema
+	f.Fuzz(func(t *testing.T, body string) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/datasets/taxi/rows", strings.NewReader(body))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pts, cols, status, err := parseIngestNDJSON(req, schema)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64*uint64(len(body))+1<<18 {
+			t.Fatalf("parsing %d bytes allocated %d", len(body), alloc)
+		}
+		if err != nil {
+			if status != http.StatusBadRequest && status != http.StatusRequestEntityTooLarge {
+				t.Fatalf("rejection with status %d: %v", status, err)
+			}
+			if pts != nil || cols != nil {
+				t.Fatalf("rejected body still gave %d rows", len(pts))
+			}
+			return
+		}
+		if status != 0 {
+			t.Fatalf("accepted body with status %d", status)
+		}
+		if len(pts) == 0 || len(pts) > maxIngestRows || len(pts) > strings.Count(body, "\n")+1 {
+			t.Fatalf("%d rows from %d lines", len(pts), strings.Count(body, "\n")+1)
+		}
+		if len(cols) != schema.NumCols() {
+			t.Fatalf("%d columns, schema has %d", len(cols), schema.NumCols())
+		}
+		for c := range cols {
+			if len(cols[c]) != len(pts) {
+				t.Fatalf("column %d has %d values for %d rows", c, len(cols[c]), len(pts))
+			}
+		}
+		var again []byte
+		for i, p := range pts {
+			row := []float64{p.X, p.Y}
+			for c := range cols {
+				row = append(row, cols[c][i])
+			}
+			line, err := json.Marshal(row)
+			if err != nil {
+				t.Fatalf("row %d: %v", i, err)
+			}
+			again = append(append(again, line...), '\n')
+		}
+		req = httptest.NewRequest(http.MethodPost, "/v1/datasets/taxi/rows", bytes.NewReader(again))
+		pts2, cols2, _, err := parseIngestNDJSON(req, schema)
+		if err != nil {
+			t.Fatalf("re-encoded batch rejected: %v", err)
+		}
+		if !reflect.DeepEqual(pts2, pts) || !reflect.DeepEqual(cols2, cols) {
+			t.Fatalf("re-encoded batch parses to different rows")
 		}
 	})
 }

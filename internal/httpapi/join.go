@@ -31,8 +31,7 @@ type joinRequest struct {
 	// MaxError plans the shared pyramid level for every region (0 =
 	// exact), exactly as for /v1/query.
 	MaxError float64 `json:"max_error,omitempty"`
-	// NoCache bypasses the result cache and the per-shard query caches,
-	// exactly as for /v1/query.
+	// NoCache bypasses the result cache, exactly as for /v1/query.
 	NoCache bool `json:"no_cache,omitempty"`
 }
 

@@ -15,7 +15,8 @@
 //	  shard-00001.gb3   ...
 //
 // The manifest records the snapshot format version, the dataset's name,
-// block level, shard level and cache configuration, and for every shard
+// block level, shard level and cache configuration (the AggregateTrie
+// keys are kept but ignored on restore), and for every shard
 // its prefix cell, row count, byte length and data CRC32C — enough to
 // rebuild the serving dataset exactly and to verify every byte read
 // back. Directories of the legacy format (FormatVersion: one

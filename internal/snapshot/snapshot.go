@@ -81,8 +81,9 @@ type Manifest struct {
 	Level int `json:"level"`
 	// ShardLevel is the cell level of the spatial partition.
 	ShardLevel int `json:"shard_level"`
-	// CacheThreshold and CacheAutoRefresh are the dataset's query-cache
-	// configuration; caches are rebuilt empty on restore.
+	// CacheThreshold and CacheAutoRefresh record the writer's per-shard
+	// AggregateTrie configuration. Restores read and ignore them: no
+	// restored dataset carries a trie.
 	CacheThreshold   float64 `json:"cache_threshold"`
 	CacheAutoRefresh int     `json:"cache_auto_refresh"`
 	// PyramidLevels is the dataset's pyramid configuration (the number of
@@ -92,10 +93,10 @@ type Manifest struct {
 	// read as 0 (no pyramid) within the same format version.
 	PyramidLevels int `json:"pyramid_levels,omitempty"`
 	// ResultCacheBytes and ResultCacheMinHits are the dataset's
-	// result-cache configuration (internal/resultcache); like the query
-	// caches, result-cache contents are never persisted — restore starts
-	// a cold cache from this configuration. Absent in older snapshots,
-	// which read as 0 (no result cache) within the same format version.
+	// result-cache configuration (internal/resultcache); result-cache
+	// contents are never persisted — restore starts a cold cache from
+	// this configuration. Absent in older snapshots, which read as 0 (no
+	// result cache) within the same format version.
 	ResultCacheBytes   int64 `json:"result_cache_bytes,omitempty"`
 	ResultCacheMinHits int   `json:"result_cache_min_hits,omitempty"`
 	// IngestSeq is the highest streaming-ingest batch sequence number
@@ -121,8 +122,8 @@ type Manifest struct {
 }
 
 // Shard pairs a shard's prefix cell with its block: Save's input and
-// Load's output (Load returns blocks without caches; the store layer
-// re-enables them per the manifest).
+// Load's output (Load returns blocks without caches, and the store
+// layer attaches no AggregateTrie to them).
 type Shard struct {
 	Cell  cellid.ID
 	Block *geoblocks.GeoBlock

@@ -32,11 +32,13 @@ type Options struct {
 	// unsharded block. Must not exceed Level (a shard must be at least
 	// one grid cell) nor MaxShardLevel.
 	ShardLevel int
-	// CacheThreshold, when positive, enables a per-shard query cache with
-	// that aggregate-threshold budget fraction (geoblocks.EnableCache).
+	// CacheThreshold, when positive, makes Build give every shard a
+	// per-shard AggregateTrie query cache with that aggregate-threshold
+	// budget fraction (geoblocks.EnableCache). Build only: snapshots
+	// record it, restores ignore it, and the daemon never sets it.
 	CacheThreshold float64
 	// CacheAutoRefresh is the per-shard auto-refresh cadence in queries
-	// (0 = manual refresh), forwarded to EnableCache.
+	// (0 = manual refresh), forwarded to EnableCache by Build.
 	CacheAutoRefresh int
 	// PyramidLevels is the number of coarser pyramid levels each shard
 	// derives below the block level (geoblocks.BuildPyramid): the levels
@@ -606,8 +608,8 @@ func blockPartial(sh *shard, blk *geoblocks.GeoBlock, sub []cellid.ID, lvl int, 
 // eagerly into writable heap blocks; OpenMapped serves it in place.
 // Shard files are written in parallel. Snapshotting is a read-only walk
 // over the immutable aggregate arrays, so it is safe concurrently with
-// queries; per-shard cache contents are not persisted — restored
-// datasets rebuild their caches empty from the recorded configuration.
+// queries. The manifest records CacheThreshold and CacheAutoRefresh, but
+// no trie contents; restores ignore both and build no trie.
 func (d *Dataset) Snapshot(dir string) (snapshot.Manifest, error) {
 	// Fold pending ingest rows into the base first, so the snapshotted
 	// blocks cover every batch up to the manifest's IngestSeq and the
@@ -669,8 +671,8 @@ func (d *Dataset) Snapshot(dir string) (snapshot.Manifest, error) {
 // Open loads a snapshot directory into a Dataset without registering it:
 // every shard is read, checksum-verified and cross-checked against the
 // manifest (failures wrap snapshot.ErrCorrupt / snapshot.ErrVersion and
-// return no dataset), the coverer is rebuilt, and per-shard query caches
-// are re-enabled empty when the manifest records a cache configuration.
+// return no dataset), and the coverer is rebuilt. The manifest's cache
+// fields are ignored: a restored dataset carries no AggregateTrie.
 // name overrides the dataset's registered name; empty keeps the
 // manifest's.
 func Open(dir, name string) (*Dataset, error) {
@@ -684,8 +686,6 @@ func Open(dir, name string) (*Dataset, error) {
 	opts := Options{
 		Level:              m.Level,
 		ShardLevel:         m.ShardLevel,
-		CacheThreshold:     m.CacheThreshold,
-		CacheAutoRefresh:   m.CacheAutoRefresh,
 		PyramidLevels:      m.PyramidLevels,
 		ResultCacheBytes:   m.ResultCacheBytes,
 		ResultCacheMinHits: m.ResultCacheMinHits,
@@ -712,11 +712,6 @@ func Open(dir, name string) (*Dataset, error) {
 		restored: true,
 	}
 	for i, sh := range shards {
-		if opts.CacheThreshold > 0 {
-			if err := sh.Block.EnableCache(opts.CacheThreshold, opts.CacheAutoRefresh); err != nil {
-				return nil, fmt.Errorf("%w: enabling shard cache: %v", snapshot.ErrCorrupt, err)
-			}
-		}
 		// Pyramids are not persisted (the snapshot format carries only the
 		// base-level payloads, docs/FORMAT.md); re-derive them from the
 		// recorded configuration.
@@ -768,8 +763,6 @@ func OpenMapped(dir, name string, res *Residency) (*Dataset, error) {
 	opts := Options{
 		Level:              m.Level,
 		ShardLevel:         m.ShardLevel,
-		CacheThreshold:     m.CacheThreshold,
-		CacheAutoRefresh:   m.CacheAutoRefresh,
 		PyramidLevels:      m.PyramidLevels,
 		ResultCacheBytes:   m.ResultCacheBytes,
 		ResultCacheMinHits: m.ResultCacheMinHits,
@@ -801,13 +794,8 @@ func OpenMapped(dir, name string, res *Residency) (*Dataset, error) {
 		residency: res,
 		restored:  true,
 	}
-	cfg := materializeCfg{
-		cacheThreshold:   opts.CacheThreshold,
-		cacheAutoRefresh: opts.CacheAutoRefresh,
-		pyramidLevels:    opts.PyramidLevels,
-	}
 	for i, ls := range lazies {
-		lsh := &lazyShard{res: res, src: ls, cfg: cfg}
+		lsh := &lazyShard{res: res, src: ls, pyramidLevels: opts.PyramidLevels}
 		res.register(lsh)
 		d.shards[i] = shard{cell: ls.Cell, lazy: lsh}
 	}
@@ -826,25 +814,17 @@ func OpenMapped(dir, name string, res *Residency) (*Dataset, error) {
 func (d *Dataset) Mapped() bool { return d.residency != nil }
 
 // RefreshCaches rebuilds every shard's query cache from its accumulated
-// statistics. No-op for shards without an enabled cache. It is a
-// structural mutation on each shard, serialised against in-flight
-// queries by the dataset lock; prefer CacheAutoRefresh for live serving.
+// statistics. No-op for shards without an enabled cache, which includes
+// every restored dataset. It is a structural mutation on each shard,
+// serialised against in-flight queries by the dataset lock; prefer
+// CacheAutoRefresh.
 func (d *Dataset) RefreshCaches() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for i := range d.shards {
-		sh := &d.shards[i]
-		if sh.lazy != nil {
-			// Refresh only already-resident shards: a cache refresh must
-			// not fault cold shards in (an evicted shard restarts with an
-			// empty cache anyway).
-			if blk, release, ok := sh.lazy.peek(); ok {
-				blk.RefreshCache()
-				release()
-			}
-			continue
+		if blk := d.shards[i].block; blk != nil {
+			blk.RefreshCache()
 		}
-		sh.block.RefreshCache()
 	}
 }
 
@@ -1052,8 +1032,10 @@ type DatasetStats struct {
 	PyramidLevels int    `json:"pyramid_levels"`
 	PyramidBytes  int    `json:"pyramid_bytes"`
 	Queries       uint64 `json:"queries"`
-	// CacheEnabled reports whether the shards carry query caches; Cache
-	// sums the per-shard effectiveness counters.
+	// CacheEnabled reports whether the shards carry AggregateTrie query
+	// caches, which only a Build given a CacheThreshold attaches (never a
+	// restore, so never a dataset the daemon serves); Cache sums the
+	// per-shard effectiveness counters.
 	CacheEnabled bool                   `json:"cache_enabled"`
 	CacheBytes   int                    `json:"cache_bytes"`
 	Cache        geoblocks.CacheMetrics `json:"cache"`

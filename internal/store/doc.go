@@ -41,8 +41,9 @@
 //
 // # Concurrency
 //
-// A built Dataset is immutable apart from its per-shard query caches,
-// which are concurrent serving structures (DESIGN.md Sec. 6); any number
+// A built Dataset is immutable apart from its per-shard query caches
+// (present only when Build was given a CacheThreshold), which are
+// concurrent serving structures (DESIGN.md Sec. 6); any number
 // of goroutines may query one dataset. The Store registry serialises
 // Add/Drop behind a mutex while lookups are lock-light; a dataset dropped
 // mid-flight keeps serving queries already holding it.

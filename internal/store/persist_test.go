@@ -28,7 +28,9 @@ func randomPolys(n int, seed int64) []*geom.Polygon {
 // TestSnapshotRestoreEquivalence is the randomized durability suite: a
 // dataset snapshotted and restored must answer every query bit-identically
 // for COUNT/MIN/MAX (and exactly here for SUM/AVG, integer column) to the
-// pre-snapshot dataset — plain and cached, across shard levels.
+// pre-snapshot dataset, across shard levels. A dataset built with an
+// AggregateTrie restores without one and still answers identically to
+// its warm original.
 func TestSnapshotRestoreEquivalence(t *testing.T) {
 	const rows = 20_000
 	for _, tc := range []struct {
@@ -63,8 +65,8 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 				t.Fatalf("restored shape %d/%d/%d, want %d/%d/%d",
 					rd.NumShards(), rd.Level(), rd.ShardLevel(), d.NumShards(), d.Level(), d.ShardLevel())
 			}
-			if rd.Stats().CacheEnabled != (tc.opts.CacheThreshold > 0) {
-				t.Fatal("cache configuration lost across restore")
+			if rd.Stats().CacheEnabled {
+				t.Fatal("restore attached an AggregateTrie")
 			}
 
 			polys := randomPolys(60, 23)
@@ -83,7 +85,7 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 				}
 			}
 			// Batch path, and for the cached variant a second pass so the
-			// warmed cache also answers identically.
+			// original's warmed cache also answers identically.
 			wantBatch, err := d.QueryBatch(polys, testReqs...)
 			if err != nil {
 				t.Fatal(err)
@@ -97,7 +99,6 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 			}
 			if tc.opts.CacheThreshold > 0 {
 				d.RefreshCaches()
-				rd.RefreshCaches()
 				for _, poly := range polys {
 					want, err := d.Query(poly, testReqs...)
 					if err != nil {
@@ -111,6 +112,67 @@ func TestSnapshotRestoreEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRestoreIgnoresCacheConfig restores a snapshot whose manifest
+// records an AggregateTrie configuration, eagerly and mapped: the keys
+// are read and ignored, so the dataset carries no trie, probes nothing
+// and answers exactly as a twin that never had one.
+func TestRestoreIgnoresCacheConfig(t *testing.T) {
+	const rows = 20_000
+	opts := Options{Level: 12, ShardLevel: 2, PyramidLevels: 2}
+	twin := buildDataset(t, "twin", rows, 31, opts)
+	opts.CacheThreshold, opts.CacheAutoRefresh = 0.25, 50
+	d := buildDataset(t, "trie", rows, 31, opts)
+	dir := filepath.Join(t.TempDir(), "trie")
+	if _, err := d.Snapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := snapshot.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.CacheThreshold != 0.25 || m.CacheAutoRefresh != 50 {
+		t.Fatalf("manifest records cache %v/%d, want 0.25/50", m.CacheThreshold, m.CacheAutoRefresh)
+	}
+
+	eager, err := Open(dir, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenMapped(dir, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mapped.Mapped() {
+		t.Fatal("OpenMapped fell back to an eager restore")
+	}
+	polys := randomPolys(40, 37)
+	for _, rd := range []*Dataset{eager, mapped} {
+		label := "eager"
+		if rd.Mapped() {
+			label = "mapped"
+		}
+		for pass := 0; pass < 2; pass++ {
+			for _, poly := range polys {
+				want, err := twin.Query(poly, testReqs...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := rd.Query(poly, testReqs...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertEquivalent(t, got, want, label)
+			}
+			rd.RefreshCaches()
+		}
+		st := rd.Stats()
+		if st.CacheEnabled || st.CacheBytes != 0 || st.Cache.Probes != 0 {
+			t.Fatalf("%s restore has a trie: enabled %v, %d bytes, %d probes",
+				label, st.CacheEnabled, st.CacheBytes, st.Cache.Probes)
+		}
 	}
 }
 

@@ -132,11 +132,13 @@ const (
 
 // lazyShard is one shard of a mapped dataset: the on-disk artifact plus
 // the residency state machine around its materialised block. All fields
-// below the cfg are owned by res.mu.
+// below pyramidLevels are owned by res.mu.
 type lazyShard struct {
 	res *Residency
 	src snapshot.LazyShard
-	cfg materializeCfg
+	// pyramidLevels is the dataset's pyramid configuration, which every
+	// fault re-derives.
+	pyramidLevels int
 
 	state   int
 	refs    int
@@ -144,15 +146,6 @@ type lazyShard struct {
 	mapping *mmapfile.Mapping
 	cost    int64
 	elem    *list.Element
-}
-
-// materializeCfg is what fault-time block construction needs from the
-// dataset options: the cache and pyramid configuration every shard is
-// (re)built with.
-type materializeCfg struct {
-	cacheThreshold   float64
-	cacheAutoRefresh int
-	pyramidLevels    int
 }
 
 // acquire pins the shard's block for the duration of one query and
@@ -208,8 +201,8 @@ func (ls *lazyShard) acquire() (*geoblocks.GeoBlock, func(), error) {
 	}
 }
 
-// peek pins the block only if it is already resident — for cache
-// refreshes and stats, which must not fault cold shards in.
+// peek pins the block only if it is already resident — for stats,
+// which must not fault cold shards in.
 func (ls *lazyShard) peek() (*geoblocks.GeoBlock, func(), bool) {
 	r := ls.res
 	r.mu.Lock()
@@ -258,8 +251,7 @@ func (ls *lazyShard) detachLocked() *mmapfile.Mapping {
 
 // materialize is the shard fault: map the file, verify the data-region
 // checksum and build the zero-copy views (geoblocks.MapGeoBlock), then
-// re-derive the cache configuration and pyramid levels exactly as an
-// eager restore would. Runs outside the residency lock.
+// re-derive the pyramid levels exactly as an eager restore would. Runs outside the residency lock.
 func (ls *lazyShard) materialize() (*geoblocks.GeoBlock, *mmapfile.Mapping, int64, error) {
 	m, err := mmapfile.Open(ls.src.Path)
 	if err != nil {
@@ -276,13 +268,7 @@ func (ls *lazyShard) materialize() (*geoblocks.GeoBlock, *mmapfile.Mapping, int6
 		}
 		return nil, nil, 0, fmt.Errorf("%w: shard %s: %v", wrapped, ls.src.Path, err)
 	}
-	if ls.cfg.cacheThreshold > 0 {
-		if err := blk.EnableCache(ls.cfg.cacheThreshold, ls.cfg.cacheAutoRefresh); err != nil {
-			m.Close()
-			return nil, nil, 0, err
-		}
-	}
-	if err := blk.BuildPyramid(ls.cfg.pyramidLevels); err != nil {
+	if err := blk.BuildPyramid(ls.pyramidLevels); err != nil {
 		m.Close()
 		return nil, nil, 0, err
 	}

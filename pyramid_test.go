@@ -524,12 +524,14 @@ func TestPyramidCacheAndUpdate(t *testing.T) {
 
 // TestSnapshotRestoresPyramid pins that a snapshot round-trip re-derives
 // the pyramid from the recorded configuration: planned levels, stats and
-// approximate answers survive a restore bit-identically.
+// approximate answers survive a restore bit-identically. (A restore
+// builds no AggregateTrie, whose SUM reassociates, so the original has
+// none either.)
 func TestSnapshotRestoresPyramid(t *testing.T) {
 	d := genPyramidData(4000, 21)
 	schema := geoblocks.NewSchema("val", "signed")
 	ds, err := store.Build("pyr", testBound, schema, d.pts, d.cols,
-		store.Options{Level: 11, ShardLevel: 1, PyramidLevels: 5, CacheThreshold: 0.2})
+		store.Options{Level: 11, ShardLevel: 1, PyramidLevels: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
