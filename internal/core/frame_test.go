@@ -5,10 +5,67 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"geoblocks/internal/column"
 	"geoblocks/internal/cover"
 )
+
+// gbf1Fixture is a GBF1 frame committed under testdata/gbf1, written by
+// the frame writer from newFixture(rows, seed).build(level, filter),
+// where the filter is fare > 10 if filtered and none otherwise.
+type gbf1Fixture struct {
+	file     string
+	rows     int
+	seed     int64
+	level    int
+	filtered bool
+}
+
+var gbf1Fixtures = []gbf1Fixture{
+	{"n4000-s16-l4.gbf1", 4000, 16, 4, false},
+	{"n8000-s16-l4-fare-gt-10.gbf1", 8000, 16, 4, true},
+	{"n500-s23-l7.gbf1", 500, 23, 7, false},
+	{"n40-s3-l5.gbf1", 40, 3, 5, false},
+}
+
+// bytes returns the committed frame.
+func (fx gbf1Fixture) bytes(t testing.TB) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "gbf1", fx.file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// block builds, in memory, the block the frame was written from.
+func (fx gbf1Fixture) block(t testing.TB) (*testFixture, *GeoBlock) {
+	t.Helper()
+	f := newFixture(t, fx.rows, fx.seed)
+	var filter column.Filter
+	if fx.filtered {
+		filter = column.Pred(f.schema, "fare", column.OpGt, 10)
+	}
+	return f, f.build(t, fx.level, filter)
+}
+
+// TestGBF1FixturesMatchWriter: each committed frame is byte for byte what
+// the frame writer makes of its block today.
+func TestGBF1FixturesMatchWriter(t *testing.T) {
+	for _, fx := range gbf1Fixtures {
+		_, b := fx.block(t)
+		var buf bytes.Buffer
+		if _, err := b.EncodeFramed(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := fx.bytes(t); !bytes.Equal(got, buf.Bytes()) {
+			t.Fatalf("%s: %d committed bytes differ from the writer's %d", fx.file, len(got), buf.Len())
+		}
+	}
+}
 
 // frameBytes encodes the fixture block as one frame and returns the raw
 // bytes plus the reported FrameInfo.
