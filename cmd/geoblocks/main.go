@@ -4,6 +4,7 @@
 //
 //	build  -dataset taxi|tweets|osm -rows N -level L [-filter "col op val"] -out FILE
 //	       generate a synthetic dataset, run extract+build, persist the block
+//	       as a format-v3 file (docs/FORMAT.md §8)
 //	info   -block FILE
 //	       print a block's header and configuration
 //	query  -block FILE -poly "x,y x,y x,y ..." [-agg count,sum:col,...]
@@ -13,12 +14,19 @@
 //	       planner answer at the coarsest level whose spatial error bound
 //	       (cell diagonal, in domain units) stays within E — the output
 //	       reports the level actually used and its guaranteed bound
+//	join   -block FILE (-polys "..." | -window "minx,miny,maxx,maxy" -nx N -ny N)
+//	       [-agg count,sum:col,...] [-max-error E] [-compare]
+//	       answer one aggregate query per region with one shared plan
+//
+// info, query and join also read the legacy GBF1 frame (docs/FORMAT.md
+// §3) of older block files and format-1 snapshot shards.
 //
 // The polygon is given as a space-separated list of comma-separated
 // lon,lat vertex pairs. Aggregates default to count.
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"strconv"
@@ -122,16 +130,7 @@ func runBuild(args []string) error {
 	}
 	fmt.Printf("built %v\n", blk)
 
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	// The CRC-checked frame GeoBlock.WriteFramed writes and openBlock reads.
-	if _, err := blk.EncodeFramed(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(*out, blk.EncodeV3(), 0o644); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s\n", *out)
@@ -371,14 +370,19 @@ func windowPolys(s string, nx, ny int) ([]*geoblocks.Polygon, error) {
 	return polys, nil
 }
 
+// openBlock reads a block file by its magic: a legacy GBF1 frame through
+// ReadGeoBlockFramed, anything else as a v3 file. Both formats carry
+// CRC32C checksums, so a flipped byte fails with ErrCorruptBlock.
 func openBlock(path string) (*geoblocks.GeoBlock, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	blk, _, err := geoblocks.ReadGeoBlockFramed(f)
-	return blk, err
+	if bytes.HasPrefix(data, []byte("GBF1")) {
+		blk, _, err := geoblocks.ReadGeoBlockFramed(bytes.NewReader(data))
+		return blk, err
+	}
+	return geoblocks.MapOwnedGeoBlock(data)
 }
 
 func parsePolygon(s string) (*geoblocks.Polygon, error) {

@@ -71,10 +71,13 @@
 //
 // # Persistence
 //
-// A built block serialises without its base data or cache: WriteFramed
-// writes the serialization-v2 payload in a length-prefixed,
-// CRC32C-checksummed frame, and ReadGeoBlockFramed reads it back (typed
-// failures: ErrCorruptBlock, ErrBlockVersion). The frame is the
-// building block of the snapshot subsystem (internal/snapshot) that makes
-// the serving tier durable; docs/FORMAT.md specifies every on-disk byte.
+// A built block serialises without its base data or cache: EncodeV3
+// returns a random-access format-v3 file image, checksummed with CRC32C,
+// which MapGeoBlock serves in place and MapOwnedGeoBlock takes over from
+// the heap (typed failures: ErrCorruptBlock, ErrBlockVersion). v3 is the
+// only block encoding written. ReadGeoBlockFramed reads the legacy GBF1
+// frame of format-1 snapshots and older cmd/geoblocks block files. The v3
+// file is the building block of the snapshot subsystem (internal/snapshot)
+// that makes the serving tier durable; docs/FORMAT.md specifies every
+// on-disk byte.
 package geoblocks

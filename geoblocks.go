@@ -646,7 +646,7 @@ func (g *GeoBlock) Coarsen(level int) (*GeoBlock, error) {
 //
 // levels <= 0 removes the pyramid. BuildPyramid is a structural mutation
 // under the block's concurrency contract: it must not run concurrently
-// with queries. Serialization is unaffected — WriteFramed persists only the
+// with queries. Serialization is unaffected — EncodeV3 persists only the
 // base level and readers rebuild the pyramid (the snapshot subsystem does
 // so on restore).
 func (g *GeoBlock) BuildPyramid(levels int) error {
@@ -794,33 +794,29 @@ func (g *GeoBlock) Fold(leaves []CellID, cols [][]float64) (*GeoBlock, error) {
 	return ng, nil
 }
 
-// FrameInfo describes a framed serialization: total frame size, payload
-// size and the payload's CRC32C — the facts a durable store records in
-// its manifest next to the payload file.
+// FrameInfo describes a GBF1 frame read by ReadGeoBlockFramed: total
+// frame size, payload size and the payload's CRC32C — the facts a
+// format-1 snapshot manifest records next to each shard file.
 type FrameInfo = core.FrameInfo
 
-// Typed deserialization failures, wrapped by every ReadGeoBlockFramed
-// error: ErrCorruptBlock for malformed or checksum-failing bytes,
-// ErrBlockVersion for a format version this build does not read. The snapshot subsystem maps them onto its own
+// Typed deserialization failures, wrapped by every ReadGeoBlockFramed,
+// MapGeoBlock and MapOwnedGeoBlock error: ErrCorruptBlock for malformed
+// or checksum-failing bytes, ErrBlockVersion for a format version this
+// build does not read. The snapshot subsystem maps them onto its own
 // artifact-level sentinels.
 var (
 	ErrCorruptBlock = core.ErrCorrupt
 	ErrBlockVersion = core.ErrVersion
 )
 
-// WriteFramed serialises the block (without base data or cache) as a
-// self-delimiting frame: the serialization-v2 payload wrapped in a
-// length prefix and a CRC32C trailer (docs/FORMAT.md specifies the
-// bytes). This is the on-disk form of snapshot artifacts and of
-// cmd/geoblocks block files.
-func (g *GeoBlock) WriteFramed(w io.Writer) (FrameInfo, error) {
-	return g.inner.EncodeFramed(w)
-}
-
-// ReadGeoBlockFramed deserialises a block written with WriteFramed,
-// validating frame magic, format version and checksum before decoding.
-// Failures wrap ErrCorruptBlock or ErrBlockVersion. The result supports
-// queries but not rebuilds (no base-data reference).
+// ReadGeoBlockFramed deserialises a GBF1 frame: the serialization-v2
+// payload wrapped in a length prefix and a CRC32C trailer
+// (docs/FORMAT.md §2–3). It is a read-only legacy format, the shard form
+// of format-1 snapshots and of older cmd/geoblocks block files; nothing
+// writes it (EncodeV3 is the block encoding). It validates frame magic,
+// format version and checksum before decoding. Failures wrap
+// ErrCorruptBlock or ErrBlockVersion. The result supports queries but not
+// rebuilds (no base-data reference).
 func ReadGeoBlockFramed(r io.Reader) (*GeoBlock, FrameInfo, error) {
 	b, info, err := core.DecodeFramed(r)
 	if err != nil {

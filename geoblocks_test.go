@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -347,25 +349,65 @@ func TestCoarsenPublic(t *testing.T) {
 	}
 }
 
+// TestSerializationPublic: a block survives EncodeV3 → MapOwnedGeoBlock
+// byte for byte, and a committed GBF1 frame still reads through the
+// legacy ReadGeoBlockFramed.
 func TestSerializationPublic(t *testing.T) {
 	b := newTestBuilder(t, 5000, 8)
 	blk, err := b.Build(12, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := blk.WriteFramed(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rb, _, err := geoblocks.ReadGeoBlockFramed(&buf)
+	img := blk.EncodeV3()
+	rb, err := geoblocks.MapOwnedGeoBlock(bytes.Clone(img))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rb.Mapped() {
+		t.Fatal("a block over an owned buffer reports itself mapped")
+	}
+	if !bytes.Equal(rb.EncodeV3(), img) {
+		t.Fatal("re-encoded v3 image differs from the original")
+	}
 	poly := testPoly(t)
-	a := blk.Count(poly)
-	c := rb.Count(poly)
-	if a != c {
-		t.Fatalf("counts differ after round trip: %d vs %d", a, c)
+	reqs := []geoblocks.AggRequest{geoblocks.Count(), geoblocks.Sum("fare"), geoblocks.Min("distance"), geoblocks.Max("fare")}
+	a, err := blk.Query(poly, reqs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := rb.Query(poly, reqs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Count != c.Count {
+		t.Fatalf("counts differ after round trip: %d vs %d", a.Count, c.Count)
+	}
+	for i := range a.Values {
+		if math.Float64bits(a.Values[i]) != math.Float64bits(c.Values[i]) {
+			t.Fatalf("value %d differs after round trip: %v vs %v", i, a.Values[i], c.Values[i])
+		}
+	}
+
+	// The frame core's tests decode against newFixture(8000, 16) built
+	// at level 4 with fare > 10: 6 700 of the 8 000 rows pass the filter.
+	data, err := os.ReadFile(filepath.Join("internal", "core", "testdata", "gbf1", "n8000-s16-l4-fare-gt-10.gbf1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, info, err := geoblocks.ReadGeoBlockFramed(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Bytes != int64(len(data)) || fb.Level() != 4 || len(fb.Filter()) != 1 || fb.NumTuples() != 6700 {
+		t.Fatalf("frame read as %d of %d bytes, level %d, %d predicates, %d tuples; want all bytes, 4, 1, 6700",
+			info.Bytes, len(data), fb.Level(), len(fb.Filter()), fb.NumTuples())
+	}
+	res, err := fb.QueryRect(testBound, geoblocks.Count())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Count != 6700 {
+		t.Fatalf("whole-domain count %d, want 6700", res.Count)
 	}
 }
 

@@ -75,8 +75,13 @@ func requireSameBits(t *testing.T, name string, got, want *GeoBlock) {
 	if got.level != want.level || got.domain != want.domain || got.base != want.base || got.mapped != want.mapped {
 		t.Fatalf("%s: block identity differs: level %d/%d mapped %v/%v", name, got.level, want.level, got.mapped, want.mapped)
 	}
-	if !reflect.DeepEqual(got.schema, want.schema) || !reflect.DeepEqual(got.filter, want.filter) {
+	if !reflect.DeepEqual(got.schema, want.schema) || len(got.filter) != len(want.filter) {
 		t.Fatalf("%s: schema or filter differs", name)
+	}
+	for i, p := range want.filter {
+		if g := got.filter[i]; g.Col != p.Col || g.Op != p.Op || math.Float64bits(g.Value) != math.Float64bits(p.Value) {
+			t.Fatalf("%s: filter predicate %d is %+v, want %+v", name, i, g, p)
+		}
 	}
 	n := len(want.keys)
 	if len(got.keys) != n || len(got.offsets) != n || len(got.counts) != n ||

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -506,29 +507,13 @@ func TestUpdateHonoursFilter(t *testing.T) {
 }
 
 func TestSerializeRoundTrip(t *testing.T) {
-	f := newFixture(t, 8000, 16)
-	filter := column.Pred(f.schema, "fare", column.OpGt, 10)
-	b := f.build(t, 11, filter)
-
-	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rb, err := ReadBlock(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rb.Level() != b.Level() || rb.NumCells() != b.NumCells() || rb.NumTuples() != b.NumTuples() {
-		t.Fatalf("round trip mismatch: %v vs %v", rb, b)
-	}
-	if rb.Schema().NumCols() != b.Schema().NumCols() {
-		t.Fatal("schema lost")
-	}
-	if len(rb.Filter()) != len(b.Filter()) {
-		t.Fatal("filter lost")
+	fx := gbf1Fixtures[1]
+	f, rb, b := fx.decode(t)
+	if len(rb.Filter()) != 1 {
+		t.Fatalf("%s: %d filter predicates, want 1", fx.file, len(rb.Filter()))
 	}
 	// Queries on the deserialized block give identical results.
-	cov := cover.MustCoverer(f.dom, cover.DefaultOptions(11)).Cover(testPolygon())
+	cov := cover.MustCoverer(f.dom, cover.DefaultOptions(fx.level)).Cover(testPolygon())
 	a, err := b.SelectCovering(cov.Cells, allSpecs())
 	if err != nil {
 		t.Fatal(err)
@@ -541,18 +526,17 @@ func TestSerializeRoundTrip(t *testing.T) {
 		t.Fatalf("counts differ after round trip: %d vs %d", a.Count, c.Count)
 	}
 	for i := range a.Values {
-		if !approxEqual(a.Values[i], c.Values[i]) {
+		if math.Float64bits(a.Values[i]) != math.Float64bits(c.Values[i]) {
 			t.Fatalf("value[%d] differs after round trip", i)
 		}
 	}
 }
 
 func TestReadBlockRejectsGarbage(t *testing.T) {
-	if _, err := ReadBlock(bytes.NewReader([]byte("not a block"))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := ReadBlock(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty input accepted")
+	for _, data := range [][]byte{[]byte("not a block"), nil} {
+		if _, _, err := DecodeFramed(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%q: error %v, want ErrCorrupt", data, err)
+		}
 	}
 }
 

@@ -13,9 +13,11 @@ import (
 	"geoblocks/internal/cover"
 )
 
-// gbf1Fixture is a GBF1 frame committed under testdata/gbf1, written by
-// the frame writer from newFixture(rows, seed).build(level, filter),
-// where the filter is fare > 10 if filtered and none otherwise.
+// gbf1Fixture is a GBF1 frame committed under testdata/gbf1. The frame
+// writer of an earlier build wrote it from newFixture(rows,
+// seed).build(level, filter), where the filter is fare > 10 if filtered
+// and none otherwise. Nothing writes GBF1 any more, so these bytes are
+// the format the legacy reader has to keep reading.
 type gbf1Fixture struct {
 	file     string
 	rows     int
@@ -52,73 +54,58 @@ func (fx gbf1Fixture) block(t testing.TB) (*testFixture, *GeoBlock) {
 	return f, f.build(t, fx.level, filter)
 }
 
-// TestGBF1FixturesMatchWriter: each committed frame is byte for byte what
-// the frame writer makes of its block today.
-func TestGBF1FixturesMatchWriter(t *testing.T) {
-	for _, fx := range gbf1Fixtures {
-		_, b := fx.block(t)
-		var buf bytes.Buffer
-		if _, err := b.EncodeFramed(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if got := fx.bytes(t); !bytes.Equal(got, buf.Bytes()) {
-			t.Fatalf("%s: %d committed bytes differ from the writer's %d", fx.file, len(got), buf.Len())
-		}
+// decode decodes the committed frame and checks it, bit for bit and
+// prefix sums included, against the block it was written from, which it
+// returns too.
+func (fx gbf1Fixture) decode(t *testing.T) (f *testFixture, decoded, built *GeoBlock) {
+	t.Helper()
+	data := fx.bytes(t)
+	decoded, info, err := DecodeFramed(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("%s: %v", fx.file, err)
+	}
+	if want := frameInfoOf(data); info != want {
+		t.Fatalf("%s: decode info %+v, want %+v", fx.file, info, want)
+	}
+	f, built = fx.block(t)
+	want := *built
+	want.base = nil // a decoded block carries no base data
+	requireSameBits(t, fx.file, decoded, &want)
+	return f, decoded, built
+}
+
+// frameInfoOf reads a well-formed frame's facts off its bytes.
+func frameInfoOf(frame []byte) FrameInfo {
+	return FrameInfo{
+		Bytes:        int64(len(frame)),
+		PayloadBytes: int64(binary.LittleEndian.Uint64(frame[4:12])),
+		CRC32C:       binary.LittleEndian.Uint32(frame[len(frame)-4:]),
 	}
 }
 
-// frameBytes encodes the fixture block as one frame and returns the raw
-// bytes plus the reported FrameInfo.
+// frameBytes returns the first committed frame and its FrameInfo.
 func frameBytes(t testing.TB) ([]byte, FrameInfo) {
 	t.Helper()
-	f := newFixture(t, 4000, 16)
-	b := f.build(t, 11, nil)
-	var buf bytes.Buffer
-	info, err := b.EncodeFramed(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), info
+	frame := gbf1Fixtures[0].bytes(t)
+	return frame, frameInfoOf(frame)
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	f := newFixture(t, 6000, 16)
-	b := f.build(t, 11, nil)
-	var buf bytes.Buffer
-	info, err := b.EncodeFramed(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(buf.Len()) != info.Bytes {
-		t.Fatalf("frame is %d bytes, info says %d", buf.Len(), info.Bytes)
-	}
-	if info.PayloadBytes != info.Bytes-16 {
-		t.Fatalf("payload %d vs frame %d: framing overhead must be 16 bytes", info.PayloadBytes, info.Bytes)
-	}
-
-	rb, rinfo, err := DecodeFramed(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rinfo != info {
-		t.Fatalf("decode info %+v != encode info %+v", rinfo, info)
-	}
-	if rb.NumCells() != b.NumCells() || rb.NumTuples() != b.NumTuples() {
-		t.Fatalf("round trip mismatch: %d/%d cells, %d/%d tuples",
-			rb.NumCells(), b.NumCells(), rb.NumTuples(), b.NumTuples())
-	}
-	// Query equivalence through the framed round trip.
-	cov := cover.MustCoverer(f.dom, cover.DefaultOptions(11)).Cover(testPolygon())
-	a, err := b.SelectCovering(cov.Cells, allSpecs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := rb.SelectCovering(cov.Cells, allSpecs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Count != c.Count {
-		t.Fatalf("counts differ: %d vs %d", a.Count, c.Count)
+	for _, fx := range gbf1Fixtures {
+		f, rb, b := fx.decode(t)
+		// Query equivalence through the framed round trip.
+		cov := cover.MustCoverer(f.dom, cover.DefaultOptions(fx.level)).Cover(testPolygon())
+		a, err := b.SelectCovering(cov.Cells, allSpecs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := rb.SelectCovering(cov.Cells, allSpecs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Count != c.Count {
+			t.Fatalf("%s: counts differ: %d vs %d", fx.file, a.Count, c.Count)
+		}
 	}
 }
 
@@ -178,6 +165,13 @@ func frameCorruptions(info FrameInfo) []frameCase {
 			binary.LittleEndian.PutUint32(b[len(b)-4:], CRC32C(b[12:len(b)-4]))
 			return b
 		}, ErrCorrupt},
+		// The level (payload offset 40) set to 31, one past
+		// cellid.MaxLevel, with the trailer recomputed.
+		{"level out of range", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[52:56], 31)
+			binary.LittleEndian.PutUint32(b[len(b)-4:], CRC32C(b[12:len(b)-4]))
+			return b
+		}, ErrCorrupt},
 	}
 }
 
@@ -204,19 +198,17 @@ func TestFrameCorruption(t *testing.T) {
 	}
 }
 
+// TestReadBlockTypedErrors: every corruption of every committed frame
+// surfaces its typed error.
 func TestReadBlockTypedErrors(t *testing.T) {
-	frame, _ := frameBytes(t)
-	payload := frame[12 : len(frame)-4]
-
-	bad := bytes.Clone(payload)
-	bad[0] ^= 0xff
-	if _, err := ReadBlock(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bad magic error %v, want ErrCorrupt", err)
-	}
-	bad = bytes.Clone(payload)
-	binary.LittleEndian.PutUint32(bad[4:8], 1)
-	if _, err := ReadBlock(bytes.NewReader(bad)); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version-1 error %v, want ErrVersion", err)
+	for _, fx := range gbf1Fixtures {
+		frame := fx.bytes(t)
+		for _, tc := range frameCorruptions(frameInfoOf(frame)) {
+			_, _, err := DecodeFramed(bytes.NewReader(tc.mutate(bytes.Clone(frame))))
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("%s, %s: error %v, want %v", fx.file, tc.name, err, tc.wantErr)
+			}
+		}
 	}
 }
 
@@ -238,19 +230,18 @@ func TestDecodeFramedHugeLengthPrefix(t *testing.T) {
 // input holds the whole frame its length prefix announces, the CRC32C
 // trailer is recomputed over the fuzzed payload first, so the fuzzer
 // reaches the payload decoder behind the checksum. A frame must decode to
-// a typed error (ErrCorrupt, ErrVersion) or to a block whose EncodeFramed
-// gives the same frame back; it must never panic.
+// a typed error (ErrCorrupt, ErrVersion) or to a block whose EncodeV3
+// image maps back through MapBlock to the same arrays, bit for bit; it
+// must never panic.
 func FuzzDecodeFramed(f *testing.F) {
 	frame, info := frameBytes(f)
 	f.Add(frame)
 	for _, tc := range frameCorruptions(info) {
 		f.Add(tc.mutate(bytes.Clone(frame)))
 	}
-	var small bytes.Buffer
-	if _, err := newFixture(f, 40, 3).build(f, 5, nil).EncodeFramed(&small); err != nil {
-		f.Fatal(err)
+	for _, fx := range gbf1Fixtures[1:] {
+		f.Add(fx.bytes(f))
 	}
-	f.Add(small.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		data = bytes.Clone(data)
 		if len(data) >= 16 {
@@ -258,19 +249,18 @@ func FuzzDecodeFramed(f *testing.F) {
 				binary.LittleEndian.PutUint32(data[12+n:], CRC32C(data[12:12+n]))
 			}
 		}
-		b, info, err := DecodeFramed(bytes.NewReader(data))
+		b, _, err := DecodeFramed(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
 				t.Fatalf("decode error %v is neither ErrCorrupt nor ErrVersion", err)
 			}
 			return
 		}
-		var again bytes.Buffer
-		if _, err := b.EncodeFramed(&again); err != nil {
-			t.Fatalf("decoded block does not encode: %v", err)
+		m, err := MapBlock(b.EncodeV3())
+		if err != nil {
+			t.Fatalf("the decoded block's v3 image does not map: %v", err)
 		}
-		if !bytes.Equal(again.Bytes(), data[:info.Bytes]) {
-			t.Fatalf("re-encoded frame (%d bytes) differs from the decoded one (%d bytes)", again.Len(), info.Bytes)
-		}
+		m.mapped = false
+		requireSameBits(t, "v3 image of the decoded block", m, b)
 	})
 }

@@ -198,7 +198,7 @@ func (b *GeoBlock) SizeBytes() int {
 
 // buildPrefixes (re)materialises the per-column prefix-sum arrays from the
 // per-cell sums. Cost is one linear pass per column. Every mutation path
-// — Build, FoldRows, ReadBlock, MapBlock and Update — calls it before
+// — Build, FoldRows, DecodeFramed, MapBlock and Update — calls it before
 // returning (Coarsen writes the same prefixes in its fold pass), so query
 // paths can rely on fresh prefixes and stay strictly read-only (safe for
 // concurrent readers between serialized updates).

@@ -8,6 +8,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -57,30 +58,11 @@ func TestCoarsenMaterialisesPrefixes(t *testing.T) {
 }
 
 func TestSerializeRoundTripPrefixes(t *testing.T) {
-	f := newFixture(t, 10000, 23)
-	b := f.build(t, 12, nil)
-	var buf bytes.Buffer
-	if _, err := b.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rb, err := ReadBlock(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fx := gbf1Fixtures[2]
+	f, rb, b := fx.decode(t)
 	checkPrefixInvariant(t, rb)
-	// The SoA arrays must survive bit-exactly.
-	for c := range b.cols {
-		for i := 0; i < b.NumCells(); i++ {
-			if b.cols[c].sums[i] != rb.cols[c].sums[i] ||
-				b.cols[c].mins[i] != rb.cols[c].mins[i] ||
-				b.cols[c].maxs[i] != rb.cols[c].maxs[i] ||
-				b.cols[c].prefix[i+1] != rb.cols[c].prefix[i+1] {
-				t.Fatalf("col %d cell %d differs after round trip", c, i)
-			}
-		}
-	}
-	// And the prefix-backed query path must agree bit-exactly too.
-	cov := cover.MustCoverer(f.dom, cover.DefaultOptions(12)).Cover(testPolygon())
+	// The prefix-backed query path must agree bit-exactly.
+	cov := cover.MustCoverer(f.dom, cover.DefaultOptions(fx.level)).Cover(testPolygon())
 	a, err := b.SelectCovering(cov.Cells, allSpecs())
 	if err != nil {
 		t.Fatal(err)
@@ -99,13 +81,16 @@ func TestSerializeRoundTripPrefixes(t *testing.T) {
 	}
 }
 
+// TestReadBlockRejectsVersion1: a frame around a bare version-1 payload
+// reports ErrVersion and names the version.
 func TestReadBlockRejectsVersion1(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString(blockMagic)
-	binary.Write(&buf, binary.LittleEndian, uint32(1))
-	_, err := ReadBlock(&buf)
-	if err == nil {
-		t.Fatal("version-1 payload accepted")
+	payload := binary.LittleEndian.AppendUint32([]byte(blockMagic), 1)
+	frame := binary.LittleEndian.AppendUint64([]byte(frameMagic), uint64(len(payload)))
+	frame = append(frame, payload...)
+	frame = binary.LittleEndian.AppendUint32(frame, CRC32C(payload))
+	_, _, err := DecodeFramed(bytes.NewReader(frame))
+	if !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-1 frame: error %v, want ErrVersion", err)
 	}
 	if !strings.Contains(err.Error(), "version 1") {
 		t.Fatalf("version-1 rejection not descriptive: %v", err)

@@ -15,9 +15,12 @@ import (
 	"geoblocks/internal/geom"
 )
 
-// Serialization of GeoBlocks. A GeoBlock is a materialized view (paper
-// Sec. 1); persisting it lets analysis sessions reopen pre-built blocks
-// without re-running extract/build. The format is a little-endian stream:
+// The serialization-v2 block stream, read inside a GBF1 frame. A GeoBlock
+// is a materialized view (paper Sec. 1); persisting it lets analysis
+// sessions reopen pre-built blocks without re-running extract/build.
+// Every block the program writes is format v3 (v3.go). This stream is a
+// read-only legacy format, read for format-1 snapshots and older
+// cmd/geoblocks block files. It is little-endian:
 //
 //	magic "GBLK" | version u32
 //	domain bounds (4 × f64) | level u32
@@ -28,20 +31,15 @@ import (
 //	keys, offsets, counts, minKeys, maxKeys (arrays)
 //	per column: sums array, mins array, maxs array
 //
-// Version 2 switched the per-column payload from interleaved
-// {min,max,sum} records to the struct-of-arrays layout above; the derived
-// prefix-sum arrays are rebuilt on read rather than stored. Version-1
-// payloads are rejected with a descriptive error — rebuild the block from
-// base data and re-serialise.
-//
-// The base-data reference is intentionally not serialized.
+// The derived prefix-sum arrays are rebuilt on read rather than stored,
+// and the base-data reference is not serialized.
 const (
 	blockMagic   = "GBLK"
 	blockVersion = 2
 )
 
-// Typed deserialization failures. Every error returned by ReadBlock and
-// DecodeFramed wraps one of these, so callers (the snapshot subsystem,
+// Typed deserialization failures. Every error returned by DecodeFramed
+// and MapBlock wraps one of these, so callers (the snapshot subsystem,
 // its HTTP status mapping) can fail closed with errors.Is instead of
 // string matching. docs/FORMAT.md is the byte-level format reference.
 var (
@@ -53,28 +51,6 @@ var (
 	// build does not read.
 	ErrVersion = errors.New("core: unsupported block version")
 )
-
-type leWriter struct {
-	w   *bufio.Writer
-	err error
-}
-
-func (w *leWriter) u32(v uint32) {
-	if w.err == nil {
-		w.err = binary.Write(w.w, binary.LittleEndian, v)
-	}
-}
-func (w *leWriter) u64(v uint64) {
-	if w.err == nil {
-		w.err = binary.Write(w.w, binary.LittleEndian, v)
-	}
-}
-func (w *leWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *leWriter) bytes(b []byte) {
-	if w.err == nil {
-		_, w.err = w.w.Write(b)
-	}
-}
 
 type leReader struct {
 	r   *bufio.Reader
@@ -105,102 +81,13 @@ func (r *leReader) bytes(n int) []byte {
 	return b
 }
 
-// WriteTo serialises the block. It implements io.WriterTo loosely (the
-// byte count is not tracked; it returns 0 and the first error).
-func (b *GeoBlock) WriteTo(dst io.Writer) (int64, error) {
-	w := &leWriter{w: bufio.NewWriter(dst)}
-	w.bytes([]byte(blockMagic))
-	w.u32(blockVersion)
-
-	bound := b.domain.Bound()
-	w.f64(bound.Min.X)
-	w.f64(bound.Min.Y)
-	w.f64(bound.Max.X)
-	w.f64(bound.Max.Y)
-	w.u32(uint32(b.level))
-
-	w.u32(uint32(b.schema.NumCols()))
-	for _, name := range b.schema.Names {
-		w.u32(uint32(len(name)))
-		w.bytes([]byte(name))
-	}
-
-	w.u32(uint32(len(b.filter)))
-	for _, p := range b.filter {
-		w.u32(uint32(p.Col))
-		w.u32(uint32(p.Op))
-		w.f64(p.Value)
-	}
-
-	w.u64(uint64(b.header.MinCell))
-	w.u64(uint64(b.header.MaxCell))
-	w.u64(b.header.Count)
-	for _, c := range b.header.Cols {
-		w.f64(c.Min)
-		w.f64(c.Max)
-		w.f64(c.Sum)
-	}
-
-	w.u64(uint64(len(b.keys)))
-	for _, k := range b.keys {
-		w.u64(uint64(k))
-	}
-	for _, o := range b.offsets {
-		w.u32(o)
-	}
-	for _, c := range b.counts {
-		w.u32(c)
-	}
-	for _, k := range b.minKeys {
-		w.u64(uint64(k))
-	}
-	for _, k := range b.maxKeys {
-		w.u64(uint64(k))
-	}
-	for c := range b.cols {
-		for _, v := range b.cols[c].sums {
-			w.f64(v)
-		}
-		for _, v := range b.cols[c].mins {
-			w.f64(v)
-		}
-		for _, v := range b.cols[c].maxs {
-			w.f64(v)
-		}
-	}
-	if w.err == nil {
-		w.err = w.w.Flush()
-	}
-	return 0, w.err
-}
-
-// ReadBlock deserialises a GeoBlock written by WriteTo, which must be all
-// of src. The returned block has no base-data reference: queries work,
-// rebuilds do not.
-func ReadBlock(src io.Reader) (*GeoBlock, error) {
-	payload, err := io.ReadAll(src)
-	if err != nil {
-		return nil, err
-	}
-	return decodeBlock(payload)
-}
-
-// decodeBlock deserialises one WriteTo payload. Every count is checked
-// against the bytes the payload holds before anything is allocated for
-// it, and bytes after the block are corrupt.
+// decodeBlock deserialises one stream payload whose magic and version
+// DecodeFramed has checked. Every count is checked against the bytes the
+// payload holds before anything is allocated for it, and bytes after the
+// block are corrupt.
 func decodeBlock(payload []byte) (*GeoBlock, error) {
-	src := bytes.NewReader(payload)
+	src := bytes.NewReader(payload[8:])
 	r := &leReader{r: bufio.NewReader(src)}
-	if magic := string(r.bytes(4)); r.err == nil && magic != blockMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic)
-	}
-	if v := r.u32(); r.err == nil && v != blockVersion {
-		if v == 1 {
-			return nil, fmt.Errorf("%w: version 1 (pre-SoA interleaved aggregate layout; rebuild the block from base data and re-serialise with version %d)", ErrVersion, blockVersion)
-		}
-		return nil, fmt.Errorf("%w: version %d (this build reads version %d)", ErrVersion, v, blockVersion)
-	}
-
 	bound := geom.Rect{
 		Min: geom.Pt(r.f64(), r.f64()),
 		Max: geom.Pt(r.f64(), r.f64()),
@@ -208,6 +95,9 @@ func decodeBlock(payload []byte) (*GeoBlock, error) {
 	level := int(r.u32())
 	if r.err != nil {
 		return nil, r.err
+	}
+	if level > cellid.MaxLevel {
+		return nil, fmt.Errorf("%w: implausible block level %d", ErrCorrupt, level)
 	}
 	dom, err := cellid.NewDomain(bound)
 	if err != nil {
@@ -307,9 +197,10 @@ func decodeBlock(payload []byte) (*GeoBlock, error) {
 	return b, nil
 }
 
-// Framed serialization. A frame wraps one WriteTo payload with a length
-// prefix and a CRC32C trailer so on-disk artifacts (the snapshot
-// subsystem's per-shard files) are self-delimiting and tamper-evident:
+// Framed serialization. A frame wraps one stream payload with a length
+// prefix and a CRC32C trailer, so legacy on-disk artifacts (format-1
+// snapshot shards, older cmd/geoblocks block files) are self-delimiting
+// and tamper-evident:
 //
 //	frame magic "GBF1" | payload length u64 | payload | CRC32C(payload) u32
 //
@@ -323,7 +214,7 @@ const frameMagic = "GBF1"
 // is a corrupt or hostile frame, not data.
 const maxFramePayload = 1 << 40
 
-// crcTable is the Castagnoli table shared by all frame writers/readers.
+// crcTable is the Castagnoli table of every on-disk checksum.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // CRC32C computes the Castagnoli checksum used throughout the on-disk
@@ -339,45 +230,18 @@ func CRC32CUpdate(sum uint32, data []byte) uint32 { return crc32.Update(sum, crc
 type FrameInfo struct {
 	// Bytes is the total frame size: magic + length + payload + trailer.
 	Bytes int64
-	// PayloadBytes is the length of the wrapped WriteTo payload.
+	// PayloadBytes is the length of the wrapped stream payload.
 	PayloadBytes int64
 	// CRC32C is the Castagnoli checksum of the payload (the trailer
 	// value).
 	CRC32C uint32
 }
 
-// EncodeFramed serialises the block as one frame. The payload is staged
-// in memory to compute the length prefix and checksum, so encoding
-// transiently needs about one serialized-block copy of memory.
-func (b *GeoBlock) EncodeFramed(dst io.Writer) (FrameInfo, error) {
-	var payload bytes.Buffer
-	if _, err := b.WriteTo(&payload); err != nil {
-		return FrameInfo{}, err
-	}
-	info := FrameInfo{
-		Bytes:        int64(4 + 8 + payload.Len() + 4),
-		PayloadBytes: int64(payload.Len()),
-		CRC32C:       crc32.Checksum(payload.Bytes(), crcTable),
-	}
-	w := &leWriter{w: bufio.NewWriter(dst)}
-	w.bytes([]byte(frameMagic))
-	w.u64(uint64(payload.Len()))
-	w.bytes(payload.Bytes())
-	w.u32(info.CRC32C)
-	if w.err == nil {
-		w.err = w.w.Flush()
-	}
-	if w.err != nil {
-		return FrameInfo{}, w.err
-	}
-	return info, nil
-}
-
-// DecodeFramed reads one frame written by EncodeFramed, validates it and
-// deserialises the payload. Validation order: frame magic, length sanity,
-// payload magic and version (so a stale-format file reports ErrVersion
-// rather than a checksum mismatch), then the CRC32C trailer, then the
-// payload decode. Every failure wraps ErrCorrupt or ErrVersion.
+// DecodeFramed reads one GBF1 frame, validates it and deserialises the
+// payload. Validation order: frame magic, length sanity, payload magic
+// and version (so a stale-format file reports ErrVersion rather than a
+// checksum mismatch), then the CRC32C trailer, then the payload decode.
+// Every failure wraps ErrCorrupt or ErrVersion.
 func DecodeFramed(src io.Reader) (*GeoBlock, FrameInfo, error) {
 	r := &leReader{r: bufio.NewReader(src)}
 	if magic := string(r.bytes(4)); r.err == nil && magic != frameMagic {
