@@ -85,10 +85,7 @@ func TestSerializeRoundTripPrefixes(t *testing.T) {
 // reports ErrVersion and names the version.
 func TestReadBlockRejectsVersion1(t *testing.T) {
 	payload := binary.LittleEndian.AppendUint32([]byte(blockMagic), 1)
-	frame := binary.LittleEndian.AppendUint64([]byte(frameMagic), uint64(len(payload)))
-	frame = append(frame, payload...)
-	frame = binary.LittleEndian.AppendUint32(frame, CRC32C(payload))
-	_, _, err := DecodeFramed(bytes.NewReader(frame))
+	_, _, err := DecodeFramed(bytes.NewReader(reframe(payload)))
 	if !errors.Is(err, ErrVersion) {
 		t.Fatalf("version-1 frame: error %v, want ErrVersion", err)
 	}
